@@ -2,11 +2,8 @@
 from .engine import (
     EpisodeConfig,
     KnowledgeBase,
-    Message,
     Mode,
     SimState,
-    Telemetry,
-    expire_entries,
     run_episode,
     run_episode_accumulator,
     run_slot,
@@ -26,7 +23,6 @@ from .relevance import (
     RelevanceParams,
     build_relevance_functions,
     correlation_coefficient,
-    semantic_value,
 )
 from .scenario import (
     MobilityMode,
@@ -43,7 +39,6 @@ from .scenario import (
 from .schemes import (
     EstimationModel,
     SchemeKind,
-    SelectionContext,
     estimate_receiver_known,
     estimation_error,
     exhaustive_best_selection,

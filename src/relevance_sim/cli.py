@@ -80,7 +80,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if value is not None:
                 spec = replace(spec, **{attr: value})
                 cli_overridden.add(key)
-        spec = replace(spec, output_path=args.out)
         spec.validate()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -104,11 +103,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        with open(args.config, encoding="utf-8") as f:
-            spec, overridden = parse_config_with_provenance(f.read())
-    except OSError as e:
-        print(f"config error: cannot read config file: {e}", file=sys.stderr)
-        return CONFIG_ERROR
+        spec, overridden = _load_spec(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return CONFIG_ERROR

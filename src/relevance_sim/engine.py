@@ -2,12 +2,17 @@
 
 Each slot one vehicle transmits: it refreshes its local perception snapshot,
 the active scheme picks at most gamma variables, and the message reaches every
-other vehicle over an error-free channel.  A receiver keeps one entry per
-sender; entries expire after one full communication cycle (N slots), which
-under round-robin coincides with the sender's next transmission.
+other vehicle over an error-free channel.  A received message stays valid for
+one full communication cycle (N slots).
 
-Known sets are mirrored as integer bitmasks over object ids (K is small), so
-unions, intersections and counts in the per-slot path are single int ops.
+Knowledge is held once, as int bitmasks over object ids (K is small):
+`local[v]` is vehicle v's latest snapshot and `sent[s]` sender s's latest
+message.  Every receiver hears every message, and under round-robin a message
+expires exactly when its sender transmits again, so:
+
+- vehicle v knows `local[v] | OR(sent[s] for s != v)`;
+- the channel estimate of what the receivers know is `OR(sent[s] for s != tx)`;
+- expiry clears `sent[tx]` at the start of tx's own slot.
 """
 from __future__ import annotations
 
@@ -31,9 +36,9 @@ from .scenario import (
 from .schemes import (
     EstimationModel,
     SchemeKind,
-    SelectionContext,
     estimate_receiver_known,
     estimation_error,
+    mask_of,
     select_baseline,
     select_ideal_semantic,
     select_irc,
@@ -48,87 +53,23 @@ class Mode(Enum):
 
 
 @dataclass(slots=True)
-class V2XEntry:
-    ids: tuple[int, ...]
-    mask: int
-    slot: int
-
-
-@dataclass(frozen=True)
-class Message:
-    sender: int
-    sender_position: tuple[float, float]
-    sender_speed: float
-    variables: frozenset[int]
-    slot: int
-
-
-@dataclass(slots=True)
-class Telemetry:
-    """Everything the metrics need about one transmitted message.
-
-    `variables` holds the selected ids in ascending order; `true_values` and
-    `redundant` are parallel per-variable rows, one entry per intended
-    receiver (in `receivers` order).  Redundancy is evaluated against the
-    receiver's known set immediately before the message was applied.  `eps`
-    is populated only when selection actually used the estimation model.
-    """
-
-    message: Message
-    scheme: SchemeKind
-    receivers: tuple[int, ...]
-    gamma: int
-    variables: tuple[int, ...]
-    true_values: list[tuple[float, ...]]
-    redundant: list[tuple[bool, ...]]
-    eps: float | None
-
-    @property
-    def slot(self) -> int:
-        return self.message.slot
-
-    @property
-    def transmitter(self) -> int:
-        return self.message.sender
-
-
-@dataclass(slots=True)
 class KnowledgeBase:
-    """One vehicle's knowledge: its own snapshot plus per-sender V2X entries."""
+    """Every vehicle's knowledge in one episode, as masks over object ids.
 
-    owner: int
-    local_ids: frozenset[int] = frozenset()
-    local_mask: int = 0
-    local_slot: int = -1
-    v2x_entries: dict[int, V2XEntry] = field(default_factory=dict)
-
-    def known_set(self, current_slot: int, n_vehicles: int) -> set[int]:
-        """Local snapshot united with every still-valid V2X entry."""
-        out = set(self.local_ids)
-        for entry in self.v2x_entries.values():
-            if current_slot - entry.slot < n_vehicles:
-                out.update(entry.ids)
-        return out
-
-    def known_mask(self, current_slot: int, n_vehicles: int) -> int:
-        mask = self.local_mask
-        for entry in self.v2x_entries.values():
-            if current_slot - entry.slot < n_vehicles:
-                mask |= entry.mask
-        return mask
-
-
-def expire_entries(kb: KnowledgeBase, current_slot: int, n_vehicles: int) -> KnowledgeBase:
-    """Drop every V2X entry at least one full communication cycle old.
-
-    Mutates and returns `kb`.  Round-robin replaces a sender's entry exactly
-    every N slots, so expiry matters at the start of the sender's own slot
-    (before its new message lands) and for senders that emitted nothing.
+    `local[v]` is vehicle v's latest perception snapshot; `sent[s]` is sender
+    s's latest message, or 0 once it has expired.
     """
-    stale = [s for s, e in kb.v2x_entries.items() if current_slot - e.slot >= n_vehicles]
-    for s in stale:
-        del kb.v2x_entries[s]
-    return kb
+
+    local: list[int]
+    sent: list[int]
+
+    def known_mask(self, v: int) -> int:
+        """Vehicle v's snapshot united with every other sender's valid message."""
+        mask = self.local[v]
+        for s, m in enumerate(self.sent):
+            if s != v:
+                mask |= m
+        return mask
 
 
 @dataclass(slots=True)
@@ -136,19 +77,14 @@ class SimState:
     slot: int
     scenario: Scenario
     relevance: list[RelevanceFunction]
-    knowledge: list[KnowledgeBase]
-    channel_history: dict[int, V2XEntry]
+    knowledge: KnowledgeBase
     scheme: SchemeKind
     gamma: int
     mode: Mode
     estimation: EstimationModel
     s_min: float
-    # Hot-loop caches: per-vehicle detection probabilities (static positions),
-    # value vectors as plain lists, and per-transmitter receiver structures.
+    # Hot-loop cache: per-vehicle detection probabilities (static positions).
     _probs: list[np.ndarray] = field(default_factory=list, repr=False)
-    _values: list[list[float]] = field(default_factory=list, repr=False)
-    _receivers: list[tuple[int, ...]] = field(default_factory=list, repr=False)
-    _recv_values: list[dict[int, list[float]]] = field(default_factory=list, repr=False)
 
     def validate(self) -> None:
         n = len(self.scenario.vehicles)
@@ -172,14 +108,11 @@ def new_sim_state(
     n = len(scenario.vehicles)
     # Dense object ids double as bit positions and value-vector indices.
     assert all(o.id == i for i, o in enumerate(scenario.objects))
-    values = [list(r.values) for r in relevance]
-    receivers = [tuple(r for r in range(n) if r != t) for t in range(n)]
     state = SimState(
         slot=0,
         scenario=scenario,
         relevance=relevance,
-        knowledge=[KnowledgeBase(owner=v.id) for v in scenario.vehicles],
-        channel_history={},
+        knowledge=KnowledgeBase(local=[0] * n, sent=[0] * n),
         scheme=scheme,
         gamma=gamma,
         mode=mode,
@@ -189,42 +122,26 @@ def new_sim_state(
             detection_probability_vector(v.position, scenario.objects, v.perception_coeffs)
             for v in scenario.vehicles
         ],
-        _values=values,
-        _receivers=receivers,
-        _recv_values=[{r: values[r] for r in recv} for recv in receivers],
     )
     state.validate()
     return state
 
 
-def _mask_of(ids: list[int] | tuple[int, ...]) -> int:
-    mask = 0
-    for k in ids:
-        mask |= 1 << k
-    return mask
+def run_slot(
+    state: SimState, rng: np.random.Generator
+) -> tuple[list[int], list[tuple[float, ...]], list[int], float | None]:
+    """Advance `state` one slot in place: expiry, local refresh, selection, delivery.
 
-
-def run_slot(state: SimState, rng: np.random.Generator) -> tuple[SimState, Telemetry]:
-    """Advance one slot: expiry, local refresh, selection, delivery, telemetry.
-
-    The returned state is the same object advanced in place; the telemetry
-    captures the emitted message plus per-receiver true values and redundancy
-    flags evaluated against receiver knowledge before delivery.
+    Returns what the metrics need about the message: the selected ids
+    (ascending), the receivers' value rows and their known masks just before
+    delivery (both in receiver order), and the estimation error if the scheme
+    used it, else None.
     """
     t = state.slot
     n = len(state.scenario.vehicles)
     tx = t % n
-    kbs = state.knowledge
-
-    # Round-robin refreshes every sender's entry each cycle, so the only entry
-    # that can reach age N at slot t belongs to the current transmitter; all
-    # accessors re-check validity anyway, this just frees the bookkeeping.
-    stale = state.channel_history.get(tx)
-    if stale is not None and t - stale.slot >= n:
-        del state.channel_history[tx]
-        for r in range(n):
-            if r != tx:
-                kbs[r].v2x_entries.pop(tx, None)
+    kb = state.knowledge
+    kb.sent[tx] = 0  # one full cycle old: expires before tx sends again
 
     if state.scenario.config.mobility_mode is MobilityMode.CONSTANT_VELOCITY:
         state.scenario = advance_mobility(state.scenario, 1)
@@ -233,77 +150,34 @@ def run_slot(state: SimState, rng: np.random.Generator) -> tuple[SimState, Telem
             v.position, state.scenario.objects, v.perception_coeffs
         )
 
-    local_ids = sample_hits(state._probs[tx], rng)
-    kb_tx = kbs[tx]
-    kb_tx.local_ids = frozenset(local_ids)
-    kb_tx.local_mask = _mask_of(local_ids)
-    kb_tx.local_slot = t
+    local = mask_of(sample_hits(state._probs[tx], rng))
+    kb.local[tx] = local
 
-    receivers = state._receivers[tx]
-    est_known = estimate_receiver_known(
-        [(e.ids, e.slot) for e in state.channel_history.values()], t, n
-    )
-    ctx = SelectionContext(
-        transmitter=tx,
-        local_set=set(local_ids),
-        known_set_size=kb_tx.known_mask(t, n).bit_count(),
-        estimated_receiver_known=est_known,
-        receivers=receivers,
-        gamma=state.gamma,
-        s_min=state.s_min,
-        receiver_values=state._recv_values[tx],
-    )
+    receivers = [r for r in range(n) if r != tx]
+    values = [state.relevance[r].values for r in receivers]
+    known = [kb.known_mask(r) for r in receivers]
+    est_known = estimate_receiver_known(kb.sent, tx)
+    gamma, s_min = state.gamma, state.s_min
 
     eps = None
     if state.scheme is SchemeKind.BASELINE:
-        selected = select_baseline(ctx, rng)
+        selected = select_baseline(local, gamma, rng)
     elif state.scheme is SchemeKind.IRC:
-        selected = select_irc(ctx, rng)
+        selected = select_irc(local, est_known, gamma, rng)
     elif state.scheme is SchemeKind.RM:
-        selected = select_rm(ctx, rng)
+        selected = select_rm(local, est_known, gamma, rng)
     elif state.scheme is SchemeKind.SEMANTIC:
-        selected = select_semantic(ctx, state.estimation, rng)
-        eps = estimation_error(ctx.known_set_size, state.estimation)
+        eps = estimation_error(kb.known_mask(tx).bit_count(), state.estimation)
+        delta = state.estimation.value_range_width * eps
+        selected = select_semantic(local, est_known, values, gamma, s_min, delta, rng)
     else:
-        ctx.true_receiver_known = {r: kbs[r].known_set(t, n) for r in receivers}
-        selected = select_ideal_semantic(ctx)
+        selected = select_ideal_semantic(local, known, values, gamma, s_min)
 
-    sel = sorted(selected)
-    assert len(sel) <= state.gamma and selected <= ctx.local_set
-
-    # Redundancy ground truth: receiver knowledge immediately before delivery.
-    known_before = [kbs[r].known_mask(t, n) for r in receivers]
-    recv_values = [state._values[r] for r in receivers]
-    true_values = []
-    redundant = []
-    for k in sel:
-        true_values.append(tuple([v[k] for v in recv_values]))
-        redundant.append(tuple([mask >> k & 1 == 1 for mask in known_before]))
-
-    entry = V2XEntry(ids=tuple(sel), mask=_mask_of(sel), slot=t)
-    for r in receivers:
-        kbs[r].v2x_entries[tx] = entry
-    state.channel_history[tx] = entry
-
-    vehicle = state.scenario.vehicles[tx]
-    telemetry = Telemetry(
-        message=Message(
-            sender=tx,
-            sender_position=vehicle.position,
-            sender_speed=vehicle.speed,
-            variables=frozenset(sel),
-            slot=t,
-        ),
-        scheme=state.scheme,
-        receivers=receivers,
-        gamma=state.gamma,
-        variables=entry.ids,
-        true_values=true_values,
-        redundant=redundant,
-        eps=eps,
-    )
+    sent = mask_of(selected)
+    assert len(selected) <= gamma and sent & ~local == 0
+    kb.sent[tx] = sent
     state.slot = t + 1
-    return state, telemetry
+    return selected, values, known, eps
 
 
 @dataclass(frozen=True)
@@ -340,13 +214,14 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
     acc = MetricsAccumulator(s_min=config.relevance.s_min, sv_aggregation=config.sv_aggregation)
     record_tx = acc.record_transmission
     record_hrr = acc.record_awareness_snapshot
+    knowledge = state.knowledge
     for t in range(config.slots):
-        state, telemetry = run_slot(state, rng)
+        selected, values, known, eps = run_slot(state, rng)
         if t < n:
             continue
-        record_tx(telemetry)
-        for kb, rel in zip(state.knowledge, relevance):
-            record_hrr(kb.known_mask(t, n), rel)
+        record_tx(selected, values, known, config.gamma, eps)
+        for v, rel in enumerate(relevance):
+            record_hrr(knowledge.known_mask(v), rel)
         acc.slots_counted += 1
     return acc
 

@@ -42,12 +42,18 @@ class ExperimentSpec:
     scene: SceneConfig
     relevance: RelevanceParams
     estimation: EstimationModel
-    output_path: str | None = None
     sv_aggregation: str = "max"
 
     def validate(self) -> None:
+        for key, value in _resolved_values(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if not self.gammas or any(g < 1 for g in self.gammas):
             raise ConfigError("gammas must be nonempty, each >= 1")
+        if len(set(self.gammas)) != len(self.gammas):
+            raise ConfigError("run.gammas must not repeat a budget")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigError("run.schemes must not repeat a scheme")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.slots_per_episode < 2 * self.scene.vehicle_count:
@@ -369,12 +375,7 @@ def parse_config_with_provenance(text: str) -> tuple[ExperimentSpec, dict[str, s
         estimation=estimation,
         **picked("run"),
     )
-    try:
-        spec.validate()
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    spec.validate()
     return spec, raw_values
 
 
@@ -382,15 +383,9 @@ def parse_config(text: str) -> ExperimentSpec:
     return parse_config_with_provenance(text)[0]
 
 
-def resolved_config_lines(
-    spec: ExperimentSpec,
-    overridden: dict[str, str] | None = None,
-    cli_overridden: set[str] | None = None,
-) -> list[str]:
-    """Full parameter listing, one `key = value` per line, flagging provenance."""
-    overridden = overridden or {}
-    cli_overridden = cli_overridden or set()
-    values: dict[str, object] = {
+def _resolved_values(spec: ExperimentSpec) -> dict[str, object]:
+    """Every configuration key with the value `spec` gives it."""
+    return {
         "scene.width": spec.scene.width,
         "scene.height": spec.scene.height,
         "scene.object_count": spec.scene.object_count,
@@ -420,8 +415,18 @@ def resolved_config_lines(
         "run.seed": spec.master_seed,
         "run.sv_aggregation": spec.sv_aggregation,
     }
+
+
+def resolved_config_lines(
+    spec: ExperimentSpec,
+    overridden: dict[str, str] | None = None,
+    cli_overridden: set[str] | None = None,
+) -> list[str]:
+    """Full parameter listing, one `key = value` per line, flagging provenance."""
+    overridden = overridden or {}
+    cli_overridden = cli_overridden or set()
     out = []
-    for key, value in values.items():
+    for key, value in _resolved_values(spec).items():
         if key in cli_overridden:
             origin = "override"
         elif key in overridden:

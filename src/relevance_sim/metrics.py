@@ -1,4 +1,4 @@
-"""Evaluation metrics accumulated from engine telemetry.
+"""Evaluation metrics accumulated from the engine's messages.
 
 Five headline metrics per (scheme, gamma, mode) cell: high-relevance ratio
 (HRR), mean per-message semantic value, low-relevance ratio (LRR), budget
@@ -7,13 +7,10 @@ error and the per-variable transmission multiplicity.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .relevance import RelevanceFunction
-
-if TYPE_CHECKING:  # telemetry is produced by the engine; no runtime import cycle
-    from .engine import Telemetry
 
 SV_AGGREGATIONS = ("max", "mean")
 
@@ -34,7 +31,7 @@ class MetricsRecord:
 
 @dataclass(slots=True)
 class MetricsAccumulator:
-    """Additive sufficient statistics for one telemetry stream.
+    """Additive sufficient statistics for one stream of messages.
 
     Merging two accumulators equals accumulating the concatenated stream, so
     shards of one episode can be processed independently and combined.
@@ -52,37 +49,47 @@ class MetricsAccumulator:
     hrr_sum: float = 0.0
     hrr_count: int = 0
     slots_counted: int = 0
-    tx_events: int = 0
     tx_seen_mask: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.sv_aggregation not in SV_AGGREGATIONS:
             raise ValueError(f"unknown sv_aggregation {self.sv_aggregation!r}")
 
-    def record_transmission(self, t: Telemetry) -> None:
+    def record_transmission(
+        self,
+        ids: Sequence[int],
+        values: Sequence[Sequence[float]],
+        known: Sequence[int],
+        gamma: int,
+        eps: float | None = None,
+    ) -> None:
         """Fold one message into the totals.
 
-        Per-variable semantic value aggregates the per-receiver true values
-        (zeroed when redundant for that receiver); a variable counts as
-        low-relevance only when its true value sits below s_min for every
-        intended receiver, regardless of redundancy.
+        `ids` are the transmitted variables; `values` and `known` hold one
+        true-value row and one known mask per intended receiver, the mask
+        taken immediately before delivery.  A variable already in a receiver's
+        known mask is redundant there and worth zero to it; the per-variable
+        semantic value aggregates these per-receiver values.  A variable counts
+        as low-relevance only when its true value sits below s_min for every
+        intended receiver, regardless of redundancy.  `eps` is given only when
+        selection used the estimation model.
         """
         self.messages += 1
-        n = len(t.variables)
+        n = len(ids)
         self.variables += n
-        self.tx_events += n
-        self.usage_sum += n / t.gamma
-        if t.eps is not None:
-            self.eps_sum += t.eps
+        self.usage_sum += n / gamma
+        if eps is not None:
+            self.eps_sum += eps
             self.eps_count += 1
         use_mean = self.sv_aggregation == "mean"
-        for k, values, redundant in zip(t.variables, t.true_values, t.redundant):
+        for k in ids:
             self.tx_seen_mask |= 1 << k
             total = 0.0
             best = 0.0
             low = True
-            for w, red in zip(values, redundant):
-                s = 0.0 if red else w
+            for row, mask in zip(values, known):
+                w = row[k]
+                s = 0.0 if mask >> k & 1 else w
                 total += s
                 if s > best:
                     best = s
@@ -96,7 +103,7 @@ class MetricsAccumulator:
         """One HRR sample: fraction of the vehicle's own high-relevance objects
         currently known to it.  Vehicles with no high-relevance objects are
         skipped rather than counted as zero."""
-        high = len(rel.high_ids)
+        high = rel.high_mask.bit_count()
         if high == 0:
             return
         self.hrr_sum += (known_mask & rel.high_mask).bit_count() / high
@@ -117,7 +124,6 @@ class MetricsAccumulator:
         out.hrr_sum = self.hrr_sum + other.hrr_sum
         out.hrr_count = self.hrr_count + other.hrr_count
         out.slots_counted = self.slots_counted + other.slots_counted
-        out.tx_events = self.tx_events + other.tx_events
         out.tx_seen_mask = self.tx_seen_mask | other.tx_seen_mask
         return out
 
@@ -134,7 +140,7 @@ class MetricsAccumulator:
             usage=self.usage_sum / self.messages,
             se=self.sv_total / self.variables if self.variables else None,
             mean_eps=self.eps_sum / self.eps_count if self.eps_count else None,
-            tx_multiplicity=self.tx_events / distinct if distinct else None,
+            tx_multiplicity=self.variables / distinct if distinct else None,
             messages=self.messages,
             variables=self.variables,
             slots=self.slots_counted,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenario import Scenario
+from .schemes import mask_of
 
 
 @dataclass(frozen=True)
@@ -46,22 +47,16 @@ class RelevanceParams:
 class RelevanceFunction:
     owner: int
     values: tuple[float, ...]
-    # Derived, cached for the hot loop: ids with a nonzero value, and the same
-    # set as a bitmask over object ids.
-    high_ids: frozenset[int] = field(repr=False, default=frozenset())
+    # Derived, cached for the hot loop: the ids with a nonzero value, as a
+    # bitmask over object ids.
     high_mask: int = field(repr=False, default=0)
 
     @staticmethod
     def from_values(owner: int, values: np.ndarray) -> RelevanceFunction:
-        high = np.flatnonzero(values > 0.0).tolist()
-        mask = 0
-        for k in high:
-            mask |= 1 << k
         return RelevanceFunction(
             owner=owner,
             values=tuple(float(v) for v in values),
-            high_ids=frozenset(high),
-            high_mask=mask,
+            high_mask=mask_of(np.flatnonzero(values > 0.0).tolist()),
         )
 
 
@@ -113,7 +108,3 @@ def build_relevance_functions(
         out.append(RelevanceFunction.from_values(v.id, values))
     return out
 
-
-def semantic_value(w: float, redundant: bool) -> float:
-    """True semantic value of one delivered variable: 0 when redundant."""
-    return 0.0 if redundant else w

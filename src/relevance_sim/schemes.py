@@ -2,9 +2,14 @@
 
 Baseline, IRC and RM are content-agnostic (they never look at semantic
 values); Semantic ranks candidates by noisy estimated values; IdealSemantic
-ranks by true values with perfect receiver-state knowledge.  All selectors
-return a subset of the transmitter's local snapshot with at most `gamma`
-elements.
+ranks by true values with perfect receiver-state knowledge.
+
+Selectors are pure functions of int bitmasks over object ids: `local` is the
+transmitter's snapshot, `est_known` the channel-derived estimate of what the
+receivers hold, and `known` the receivers' true known masks.  `values` holds
+one semantic-value row per receiver, in the order of `known`.  Every selector
+returns at most `gamma` ids of `local` in ascending order, and draws random
+numbers over ids in ascending order.
 """
 from __future__ import annotations
 
@@ -42,35 +47,6 @@ class EstimationModel:
             raise ValueError("value_range_width must be positive")
 
 
-@dataclass(slots=True)
-class SelectionContext:
-    """Read-only snapshot of everything a selector may consult.
-
-    `estimated_receiver_known` is the shared channel-derived estimate of what
-    receivers already hold; `true_receiver_known` is the per-receiver ground
-    truth and is only populated for the ideal scheme.  `receiver_values` maps
-    receiver id to that receiver's true semantic-value vector.
-    """
-
-    transmitter: int
-    local_set: set[int]
-    known_set_size: int
-    estimated_receiver_known: set[int]
-    receivers: tuple[int, ...]
-    gamma: int
-    s_min: float
-    receiver_values: dict[int, Sequence[float]]
-    true_receiver_known: dict[int, set[int]] | None = None
-
-    def validate(self) -> None:
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-        if not self.receivers:
-            raise ValueError("receivers must be nonempty")
-        if self.transmitter in self.receivers:
-            raise ValueError("transmitter cannot be its own receiver")
-
-
 def estimation_error(known_count: int, model: EstimationModel) -> float:
     """Estimation error of the semantic model given the transmitter's known-set size.
 
@@ -100,41 +76,54 @@ def sample_estimated_value(
     return true_w + (rng.random() - 0.5) * delta
 
 
-def estimate_receiver_known(
-    channel_history: Iterable[tuple[Iterable[int], int]],
-    current_slot: int,
-    n_vehicles: int,
-) -> set[int]:
-    """Union of every variable id recently heard on the channel.
+def mask_of(ids: Iterable[int]) -> int:
+    """Bitmask over object ids with one bit set per id."""
+    mask = 0
+    for k in ids:
+        mask |= 1 << k
+    return mask
 
-    `channel_history` holds each sender's latest (variable ids, transmit slot)
-    pair; entries older than one full communication cycle are ignored.  The
-    estimate covers all senders including the caller and deliberately excludes
-    receiver-local detections nobody has transmitted — that blind spot is what
-    separates the semantic scheme from its ideal variant.
-    """
-    out: set[int] = set()
-    for ids, slot in channel_history:
-        if current_slot - slot < n_vehicles:
-            out.update(ids)
+
+def ids_of(mask: int) -> list[int]:
+    """The ids whose bits are set in `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def _random_subset(items: Sequence[int], size: int, rng: np.random.Generator) -> set[int]:
-    # Uniform subset via a permutation prefix; operating on a sorted sequence
-    # keeps the draw independent of set iteration order.
-    idx = rng.permutation(len(items))[:size]
-    return {items[i] for i in idx.tolist()}
+def estimate_receiver_known(sent: Sequence[int], transmitter: int) -> int:
+    """Union of every variable recently heard on the channel from others.
+
+    `sent` holds each sender's latest message mask, already cleared for a
+    sender whose message has expired.  The estimate deliberately excludes
+    receiver-local detections nobody has transmitted; that blind spot is what
+    separates the semantic scheme from its ideal variant.
+    """
+    mask = 0
+    for s, m in enumerate(sent):
+        if s != transmitter:
+            mask |= m
+    return mask
 
 
-def select_baseline(ctx: SelectionContext, rng: np.random.Generator) -> set[int]:
+def _random_subset(items: list[int], size: int, rng: np.random.Generator) -> int:
+    # Uniform subset via a permutation prefix over ascending ids, returned as
+    # a mask, so the draw never depends on container iteration order.
+    return mask_of(items[i] for i in rng.permutation(len(items))[:size].tolist())
+
+
+def select_baseline(local: int, gamma: int, rng: np.random.Generator) -> list[int]:
     """Everything local if it fits, otherwise a uniformly random budget-sized subset."""
-    if len(ctx.local_set) <= ctx.gamma:
-        return set(ctx.local_set)
-    return _random_subset(sorted(ctx.local_set), ctx.gamma, rng)
+    ids = ids_of(local)
+    if len(ids) <= gamma:
+        return ids
+    return ids_of(_random_subset(ids, gamma, rng))
 
 
-def select_irc(ctx: SelectionContext, rng: np.random.Generator) -> set[int]:
+def select_irc(local: int, est_known: int, gamma: int, rng: np.random.Generator) -> list[int]:
     """Drop estimated-redundant variables (in random order) only while over budget.
 
     Removing one redundant variable at a time until the budget fits is
@@ -143,51 +132,51 @@ def select_irc(ctx: SelectionContext, rng: np.random.Generator) -> set[int]:
     large once every redundant variable is gone, fall back to a random
     budget-sized subset of the non-redundant remainder.
     """
-    local = ctx.local_set
-    if len(local) <= ctx.gamma:
-        return set(local)
-    redundant = sorted(local & ctx.estimated_receiver_known)
-    keep = local - ctx.estimated_receiver_known
-    excess = len(local) - ctx.gamma
+    ids = ids_of(local)
+    excess = len(ids) - gamma
+    if excess <= 0:
+        return ids
+    redundant = ids_of(local & est_known)
     if excess <= len(redundant):
-        dropped = _random_subset(redundant, excess, rng)
-        return set(local) - dropped
-    return _random_subset(sorted(keep), ctx.gamma, rng)
+        return ids_of(local & ~_random_subset(redundant, excess, rng))
+    return ids_of(_random_subset(ids_of(local & ~est_known), gamma, rng))
 
 
-def select_rm(ctx: SelectionContext, rng: np.random.Generator) -> set[int]:
+def select_rm(local: int, est_known: int, gamma: int, rng: np.random.Generator) -> list[int]:
     """Send only non-redundant variables, randomly thinned to the budget."""
-    candidate = ctx.local_set - ctx.estimated_receiver_known
-    if len(candidate) <= ctx.gamma:
+    candidate = ids_of(local & ~est_known)
+    if len(candidate) <= gamma:
         return candidate
-    return _random_subset(sorted(candidate), ctx.gamma, rng)
+    return ids_of(_random_subset(candidate, gamma, rng))
 
 
-def _top_by_score(scored: list[tuple[float, int]], gamma: int) -> set[int]:
+def _top_by_score(scored: list[tuple[float, int]], gamma: int) -> list[int]:
     # Rank descending by score, ties to the lower object id.
     scored.sort(key=lambda t: (-t[0], t[1]))
-    return {k for _, k in scored[:gamma]}
+    return sorted(k for _, k in scored[:gamma])
 
 
 def select_semantic(
-    ctx: SelectionContext,
-    model: EstimationModel,
+    local: int,
+    est_known: int,
+    values: Sequence[Sequence[float]],
+    gamma: int,
+    s_min: float,
+    delta: float,
     rng: np.random.Generator,
-) -> set[int]:
+) -> list[int]:
     """Rank local variables by noisy estimated semantic value (Semantic scheme).
 
     Estimated-redundant variables score zero outright; every other (variable,
-    receiver) pair gets one fresh noisy estimate, and a variable's score is its
-    best estimate over the intended receivers.  Variables at or below s_min are
-    filtered out before the budget cut.
+    receiver) pair gets one fresh noisy estimate, uniform on an interval of
+    width `delta` (the value range times the estimation error) around the true
+    value, and a variable's score is its best estimate over the receivers'
+    value rows.  Variables at or below s_min are filtered out before the
+    budget cut.
     """
-    eps = estimation_error(ctx.known_set_size, model)
-    delta = model.value_range_width * eps
-    est_known = ctx.estimated_receiver_known
-    fresh = [k for k in sorted(ctx.local_set) if k not in est_known]
+    fresh = ids_of(local & ~est_known)
     if not fresh:
-        return set()
-    values = [ctx.receiver_values[r] for r in ctx.receivers]
+        return []
     # One uniform draw per (variable, receiver) pair, consumed in (k, r) order;
     # matches repeated sample_estimated_value calls on the same stream.
     u = rng.random(len(fresh) * len(values)).tolist()
@@ -200,31 +189,35 @@ def select_semantic(
             i += 1
             if est > best:
                 best = est
-        if best > ctx.s_min:
+        if best > s_min:
             scored.append((best, k))
-    return _top_by_score(scored, ctx.gamma)
+    return _top_by_score(scored, gamma)
 
 
-def select_ideal_semantic(ctx: SelectionContext) -> set[int]:
+def select_ideal_semantic(
+    local: int,
+    known: Sequence[int],
+    values: Sequence[Sequence[float]],
+    gamma: int,
+    s_min: float,
+) -> list[int]:
     """Rank by true semantic value with perfect receiver knowledge (upper bound).
 
-    A variable already known to a receiver is worthless to that receiver; the
-    score is the best true value over the intended receivers.  Deterministic:
-    no estimation noise, ties broken by object id.
+    A variable already in a receiver's known mask is worthless to that
+    receiver; the score is the best true value over the receivers.
+    Deterministic: no estimation noise, ties broken by object id.
     """
-    if ctx.true_receiver_known is None:
-        raise ValueError("ideal selection needs true receiver knowledge")
     scored = []
-    for k in sorted(ctx.local_set):
+    for k in ids_of(local):
         best = 0.0
-        for r in ctx.receivers:
-            if k not in ctx.true_receiver_known[r]:
-                w = ctx.receiver_values[r][k]
+        for mask, row in zip(known, values):
+            if not mask >> k & 1:
+                w = row[k]
                 if w > best:
                     best = w
-        if best > ctx.s_min:
+        if best > s_min:
             scored.append((best, k))
-    return _top_by_score(scored, ctx.gamma)
+    return _top_by_score(scored, gamma)
 
 
 def exhaustive_best_selection(
@@ -256,34 +249,25 @@ def random_selection_instance(
     rng: np.random.Generator,
     max_local: int = 10,
     max_gamma: int = 4,
-) -> SelectionContext:
-    """Random small context for cross-checking the ideal selector.
+) -> tuple[int, list[int], list[list[float]], int, float]:
+    """Random small instance for cross-checking the ideal selector.
 
-    Values are drawn on a coarse 1/64 grid so equal scores (and therefore
-    tie-breaks) actually occur, and sums stay exact in binary floating point.
+    Returns (local mask, receivers' known masks, receivers' value rows, gamma,
+    s_min).  Values are drawn on a coarse 1/64 grid so equal scores (and
+    therefore tie-breaks) actually occur, and sums stay exact in binary
+    floating point.
     """
     universe = 30
     n_receivers = int(rng.integers(1, 4))
-    receivers = tuple(range(1, 1 + n_receivers))
     n_local = int(rng.integers(0, max_local + 1))
-    local = set(rng.choice(universe, size=n_local, replace=False).tolist())
-    values: dict[int, Sequence[float]] = {}
-    known: dict[int, set[int]] = {}
-    for r in receivers:
-        values[r] = (rng.integers(0, 65, universe) / 64.0).tolist()
+    local = mask_of(rng.choice(universe, size=n_local, replace=False).tolist())
+    values = []
+    known = []
+    for _ in range(n_receivers):
+        values.append((rng.integers(0, 65, universe) / 64.0).tolist())
         n_known = int(rng.integers(0, universe // 2))
-        known[r] = set(rng.choice(universe, size=n_known, replace=False).tolist())
-    return SelectionContext(
-        transmitter=0,
-        local_set=local,
-        known_set_size=n_local,
-        estimated_receiver_known=set(),
-        receivers=receivers,
-        gamma=int(rng.integers(1, max_gamma + 1)),
-        s_min=0.05,
-        receiver_values=values,
-        true_receiver_known=known,
-    )
+        known.append(mask_of(rng.choice(universe, size=n_known, replace=False).tolist()))
+    return local, known, values, int(rng.integers(1, max_gamma + 1)), 0.05
 
 
 def oracle_mismatch_count(instances: int, seed: int) -> int:
@@ -296,14 +280,12 @@ def oracle_mismatch_count(instances: int, seed: int) -> int:
     rng = np.random.default_rng(seed)
     mismatches = 0
     for _ in range(instances):
-        ctx = random_selection_instance(rng)
-        scores = {}
-        for k in ctx.local_set:
-            assert ctx.true_receiver_known is not None
-            scores[k] = max(
-                0.0 if k in ctx.true_receiver_known[r] else ctx.receiver_values[r][k]
-                for r in ctx.receivers
-            )
-        if select_ideal_semantic(ctx) != exhaustive_best_selection(scores, ctx.gamma, ctx.s_min):
+        local, known, values, gamma, s_min = random_selection_instance(rng)
+        scores = {
+            k: max(0.0 if mask >> k & 1 else row[k] for mask, row in zip(known, values))
+            for k in ids_of(local)
+        }
+        greedy = select_ideal_semantic(local, known, values, gamma, s_min)
+        if set(greedy) != exhaustive_best_selection(scores, gamma, s_min):
             mismatches += 1
     return mismatches

@@ -30,8 +30,8 @@ from relevance_sim.scenario import (
 )
 from relevance_sim.schemes import (
     EstimationModel,
-    SelectionContext,
     estimation_error,
+    mask_of,
     oracle_mismatch_count,
     sample_estimated_value,
     select_baseline,
@@ -268,42 +268,43 @@ def test_criterion_10_byte_identical_reruns(tmp_path, capsys):
     assert ok
 
 
-def _random_context(rng: np.random.Generator) -> SelectionContext:
+def _random_instance(rng: np.random.Generator):
+    """(local, est_known, known, values, known_set_size, gamma) with masks
+    for the sets; values is one row per receiver."""
     universe = 40
-    local = set(rng.choice(universe, size=int(rng.integers(1, 25)),
-                           replace=False).tolist())
-    est_known = set(rng.choice(universe, size=int(rng.integers(0, 12)),
+    local = mask_of(rng.choice(universe, size=int(rng.integers(1, 25)),
                                replace=False).tolist())
-    receivers = tuple(range(1, int(rng.integers(2, 5))))
-    values = {r: rng.integers(0, 65, size=universe).astype(float) / 64.0
-              for r in receivers}
-    true_known = {r: set(rng.choice(universe, size=int(rng.integers(0, 12)),
-                                    replace=False).tolist()) for r in receivers}
-    return SelectionContext(
-        transmitter=0, local_set=local, known_set_size=int(rng.integers(1, 60)),
-        estimated_receiver_known=est_known, receivers=receivers,
-        gamma=int(rng.integers(1, 9)), s_min=0.05, receiver_values=values,
-        true_receiver_known=true_known)
+    est_known = mask_of(rng.choice(universe, size=int(rng.integers(0, 12)),
+                                   replace=False).tolist())
+    receivers = range(1, int(rng.integers(2, 5)))
+    values = [rng.integers(0, 65, size=universe).astype(float) / 64.0
+              for _ in receivers]
+    known = [mask_of(rng.choice(universe, size=int(rng.integers(0, 12)),
+                                replace=False).tolist()) for _ in receivers]
+    known_set_size = int(rng.integers(1, 60))
+    return local, est_known, known, values, known_set_size, int(rng.integers(1, 9))
 
 
 def test_criterion_11_structural_properties(capsys):
     rng = np.random.default_rng(424242)
     model = EstimationModel()
+    s_min = 0.05
     # 1) every selector respects the budget and picks only locally held ids;
     #    the redundancy-avoiding scheme never picks an estimated-known id.
     for _ in range(200):
-        ctx = _random_context(rng)
+        local, est_known, known, values, known_set_size, gamma = _random_instance(rng)
+        delta = model.value_range_width * estimation_error(known_set_size, model)
         picks = {
-            "baseline": select_baseline(ctx, rng),
-            "irc": select_irc(ctx, rng),
-            "rm": select_rm(ctx, rng),
-            "semantic": select_semantic(ctx, model, rng),
-            "ideal": select_ideal_semantic(ctx),
+            "baseline": select_baseline(local, gamma, rng),
+            "irc": select_irc(local, est_known, gamma, rng),
+            "rm": select_rm(local, est_known, gamma, rng),
+            "semantic": select_semantic(local, est_known, values, gamma, s_min, delta, rng),
+            "ideal": select_ideal_semantic(local, known, values, gamma, s_min),
         }
         for name, sel in picks.items():
-            assert len(sel) <= ctx.gamma, name
-            assert sel <= ctx.local_set, name
-        assert not picks["rm"] & ctx.estimated_receiver_known
+            assert len(sel) <= gamma, name
+            assert mask_of(sel) & ~local == 0, name
+        assert not mask_of(picks["rm"]) & est_known
     # 2) estimation error is strictly decreasing in the known-set size.
     errors = [estimation_error(c, model) for c in range(0, 61)]
     assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -323,7 +324,7 @@ def test_criterion_11_structural_properties(capsys):
         r = np.random.default_rng(seed)
         scn = Scenario(cfg, place_objects(cfg, r), spawn_vehicles(cfg, r))
         rels = build_relevance_functions(scn, params, r)
-        highs.append(len(rels[0].high_ids) / 110)
+        highs.append(rels[0].high_mask.bit_count() / 110)
     margin = 3 * (0.3 * 0.7 / (110 * 200)) ** 0.5
     assert abs(statistics.fmean(highs) - 0.3) < margin
     # 5) inter-vehicle agreement decays with distance and hits its endpoints.

@@ -76,6 +76,18 @@ def test_config_errors_exit_2(tmp_path):
     assert missing.returncode == 2
 
 
+def test_non_finite_config_exits_2_before_running(tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("scene.width = nan\nrun.slots = 8\n")
+    out = tmp_path / "o"
+    for args in (("run", "--config", str(cfg), "--out", str(out)),
+                 ("validate", "--config", str(cfg))):
+        proc = _run(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert "scene.width" in proc.stderr
+    assert not out.exists()
+
+
 def test_validate_echoes_resolved_config(tmp_path):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("run.seed = 777\n")

@@ -13,14 +13,14 @@ from relevance_sim import (
     Scenario,
     SchemeKind,
     build_relevance_functions,
-    expire_entries,
     place_objects,
     run_episode,
     run_episode_accumulator,
     run_slot,
     spawn_vehicles,
 )
-from relevance_sim.engine import V2XEntry, new_sim_state
+from relevance_sim.engine import new_sim_state
+from relevance_sim.schemes import ids_of, mask_of
 
 PARAMS = RelevanceParams()
 
@@ -37,126 +37,150 @@ def _fresh_state(seed, scheme=SchemeKind.BASELINE, gamma=10, vehicles=2,
     return state, rng
 
 
+def _receivers(tx, n):
+    return [r for r in range(n) if r != tx]
+
+
 def test_round_robin_transmitter_order():
     for vehicles in (2, 4):
         state, rng = _fresh_state(31, vehicles=vehicles)
+        rows = [rel.values for rel in state.relevance]
         for t in range(3 * vehicles):
-            state, telemetry = run_slot(state, rng)
-            assert telemetry.transmitter == t % vehicles
-            assert telemetry.slot == t
+            before = list(state.knowledge.local)
+            _, values, _, _ = run_slot(state, rng)
+            assert state.slot == t + 1
+            # The message goes to every vehicle but t % vehicles ...
+            assert values == [rows[r] for r in _receivers(t % vehicles, vehicles)]
+            # ... which is the only one to refresh its snapshot.
+            for v in _receivers(t % vehicles, vehicles):
+                assert state.knowledge.local[v] == before[v]
     # In particular, slot 7 of a 4-vehicle run belongs to vehicle 3.
     assert 7 % 4 == 3
 
 
 def test_expiry_boundary_is_one_full_cycle():
     n = 4
-    kb = KnowledgeBase(owner=0)
-    kb.v2x_entries[1] = V2XEntry(ids=(5, 6), mask=0b1100000, slot=3)
-    # One slot short of a full cycle: still valid.
-    expire_entries(kb, current_slot=3 + n - 1, n_vehicles=n)
-    assert 1 in kb.v2x_entries
-    assert kb.known_set(3 + n - 1, n) == {5, 6}
-    # Exactly one cycle old: gone, and the accessors agree beforehand.
-    assert kb.known_set(3 + n, n) == set()
-    expire_entries(kb, current_slot=3 + n, n_vehicles=n)
-    assert kb.v2x_entries == {}
-    expire_entries(kb, current_slot=99, n_vehicles=n)  # empty stays empty
+    state, rng = _fresh_state(30, vehicles=n, gamma=10)
+    kb = state.knowledge
+    messages = {}
+    uncovered = 0
+    for t in range(4 * n):
+        tx = t % n
+        if tx in messages:
+            # One slot short of a full cycle: the previous message is still
+            # in every receiver's known mask.
+            assert kb.sent[tx] == messages[tx]
+            for r in _receivers(tx, n):
+                assert messages[tx] & ~kb.known_mask(r) == 0
+        _, _, known, _ = run_slot(state, rng)
+        # Exactly one cycle old: gone at the start of the sender's slot, so
+        # each receiver's mask before delivery holds only its own snapshot and
+        # the other senders' messages.
+        for r, mask in zip(_receivers(tx, n), known):
+            others = 0
+            for s, m in messages.items():
+                if s not in (r, tx):
+                    others |= m
+            assert mask == kb.local[r] | others
+            uncovered |= messages.get(tx, 0) & ~mask
+        messages[tx] = kb.sent[tx]
+    assert uncovered  # some expired id was known only through its message
 
 
 def test_delivery_is_lossless_and_history_matches():
     state, rng = _fresh_state(32, vehicles=4, gamma=5)
-    for _ in range(12):
-        state, telemetry = run_slot(state, rng)
-        tx = telemetry.transmitter
-        for r in telemetry.receivers:
-            entry = state.knowledge[r].v2x_entries[tx]
-            assert entry.ids == telemetry.variables
-            assert entry.slot == telemetry.slot
-        assert state.channel_history[tx].ids == telemetry.variables
-        assert tx not in state.knowledge[tx].v2x_entries
+    kb = state.knowledge
+    for t in range(12):
+        tx = t % 4
+        selected, _, _, _ = run_slot(state, rng)
+        assert kb.sent[tx] == mask_of(selected)
+        for r in _receivers(tx, 4):
+            assert kb.sent[tx] & ~kb.known_mask(r) == 0
 
 
 def test_sender_entry_changes_only_on_its_own_slots():
     state, rng = _fresh_state(33, vehicles=4, gamma=3)
-    last_seen = {}
     for t in range(24):
-        state, telemetry = run_slot(state, rng)
-        tx = telemetry.transmitter
-        for r in range(4):
-            if r == tx:
-                continue
-            for sender, entry in state.knowledge[r].v2x_entries.items():
-                if sender != tx:
-                    assert entry.slot == last_seen[sender]
-        last_seen[tx] = telemetry.slot
+        before = list(state.knowledge.sent)
+        run_slot(state, rng)
+        for sender in range(4):
+            if sender != t % 4:
+                assert state.knowledge.sent[sender] == before[sender]
 
 
 def test_budget_and_locality_hold_every_slot():
     for scheme in SchemeKind:
         state, rng = _fresh_state(34, scheme=scheme, gamma=4, vehicles=2)
-        for _ in range(40):
-            state, telemetry = run_slot(state, rng)
-            assert len(telemetry.variables) <= 4
-            tx = telemetry.transmitter
-            assert set(telemetry.variables) <= state.knowledge[tx].local_ids
+        for t in range(40):
+            selected, _, _, _ = run_slot(state, rng)
+            assert len(selected) <= 4
+            assert selected == sorted(selected)
+            assert mask_of(selected) & ~state.knowledge.local[t % 2] == 0
 
 
 def test_known_set_is_local_union_valid_entries():
     state, rng = _fresh_state(35, vehicles=4, gamma=6)
     n = 4
+    kb = state.knowledge
+    history = {}  # sender -> (message ids, slot)
     for t in range(20):
-        state, _ = run_slot(state, rng)
-        for kb in state.knowledge:
-            valid = set(kb.local_ids)
-            for entry in kb.v2x_entries.values():
-                assert t - entry.slot < n  # nothing stale survives a slot
-                valid |= set(entry.ids)
-            assert kb.known_set(t, n) == valid
-            mask = kb.known_mask(t, n)
-            assert {k for k in range(110) if mask >> k & 1} == valid
+        selected, _, _, _ = run_slot(state, rng)
+        history[t % n] = (selected, t)
+        for v in range(n):
+            valid = set(ids_of(kb.local[v]))
+            for sender, (ids, slot) in history.items():
+                if sender != v and t - slot < n:
+                    valid |= set(ids)
+            assert set(ids_of(kb.known_mask(v))) == valid
 
 
 def test_redundancy_flags_match_receiver_state_before_delivery():
     state, rng = _fresh_state(36, vehicles=2, gamma=8)
     n = 2
+    kb = state.knowledge
     for t in range(16):
-        snapshot = [kb.known_set(t, n) for kb in state.knowledge]
-        state, telemetry = run_slot(state, rng)
-        for k, flags in zip(telemetry.variables, telemetry.redundant):
-            for r, flag in zip(telemetry.receivers, flags):
-                assert flag == (k in snapshot[r])
+        # Receiver state before delivery: its snapshot plus the messages of
+        # senders other than itself and the (now expiring) transmitter.
+        tx = t % n
+        snapshot = []
+        for r in _receivers(tx, n):
+            mask = kb.local[r]
+            for s in range(n):
+                if s not in (r, tx):
+                    mask |= kb.sent[s]
+            snapshot.append(mask)
+        _, _, known, _ = run_slot(state, rng)
+        assert known == snapshot
 
 
 def test_true_values_are_receiver_relevances():
     state, rng = _fresh_state(37, vehicles=4, gamma=5)
     rels = state.relevance
-    for _ in range(8):
-        state, telemetry = run_slot(state, rng)
-        for k, values in zip(telemetry.variables, telemetry.true_values):
-            for r, w in zip(telemetry.receivers, values):
-                assert w == rels[r].values[k]
+    for t in range(8):
+        selected, values, _, _ = run_slot(state, rng)
+        for r, row in zip(_receivers(t % 4, 4), values):
+            for k in selected:
+                assert row[k] == rels[r].values[k]
 
 
 def test_eps_reported_only_for_estimating_scheme():
     for scheme, expect in ((SchemeKind.SEMANTIC, True), (SchemeKind.BASELINE, False),
                            (SchemeKind.IDEAL_SEMANTIC, False)):
         state, rng = _fresh_state(38, scheme=scheme)
-        state, telemetry = run_slot(state, rng)
-        assert (telemetry.eps is not None) == expect
+        _, _, _, eps = run_slot(state, rng)
+        assert (eps is not None) == expect
 
 
 def test_all_low_relevance_yields_empty_messages():
     # Every object in the low class: the ideal scheme finds nothing worth
-    # sending, yet the (empty) entry still lands in the receivers' bases.
+    # sending, and the (empty) message replaces the sender's previous one.
     params = RelevanceParams(delta_L=1.0)
     state, rng = _fresh_state(39, scheme=SchemeKind.IDEAL_SEMANTIC,
                               relevance_params=params)
     for t in range(6):
-        state, telemetry = run_slot(state, rng)
-        assert telemetry.variables == ()
-        tx = telemetry.transmitter
-        for r in telemetry.receivers:
-            assert state.knowledge[r].v2x_entries[tx].ids == ()
+        selected, _, _, _ = run_slot(state, rng)
+        assert selected == []
+        assert state.knowledge.sent[t % 2] == 0
 
 
 def test_episode_is_deterministic():
@@ -214,6 +238,6 @@ def test_constant_velocity_vehicles_move_during_episode():
     state, rng = _fresh_state(45, vehicles=2, mobility=MobilityMode.CONSTANT_VELOCITY)
     start = [v.position for v in state.scenario.vehicles]
     for _ in range(50):
-        state, _ = run_slot(state, rng)
+        run_slot(state, rng)
     moved = [v.position for v in state.scenario.vehicles]
     assert moved != start

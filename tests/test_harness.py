@@ -250,3 +250,17 @@ def test_config_range_validation():
         parse_config("scene.vehicle_count = 1\n")
     with pytest.raises(ConfigError):
         parse_config("run.schemes = Baseline, Turbo\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("scene.width", "nan"),
+    ("scene.height", "inf"),
+    ("relevance.s_min", "nan"),
+    ("estimation.value_range_width", "nan"),
+    ("run.gammas", "5,5"),
+    ("run.schemes", "RM,rm"),
+])
+def test_non_finite_and_duplicate_values_rejected(key, value):
+    # Caught before any episode runs, with the offending key in the message.
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        parse_config(f"{key} = {value}\n")

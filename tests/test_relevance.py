@@ -12,9 +12,9 @@ from relevance_sim import (
     build_relevance_functions,
     correlation_coefficient,
     place_objects,
-    semantic_value,
 )
 from relevance_sim.scenario import ObjectPoint
+from relevance_sim.schemes import ids_of
 
 
 def _two_vehicle_scenario(separation, n_objects=110, rng=None):
@@ -68,7 +68,6 @@ def test_values_are_zero_or_in_high_range():
         assert len(rel.values) == len(scenario.objects)
         for k, w in enumerate(rel.values):
             assert w == 0.0 or lo <= w <= hi
-            assert (k in rel.high_ids) == (w > 0.0)
             assert bool(rel.high_mask >> k & 1) == (w > 0.0)
 
 
@@ -77,7 +76,7 @@ def test_all_low_class_when_delta_is_one():
     scenario = _two_vehicle_scenario(50.0)
     rels = build_relevance_functions(scenario, params, np.random.default_rng(4))
     for rel in rels:
-        assert rel.high_ids == frozenset()
+        assert rel.high_mask == 0
         assert all(w == 0.0 for w in rel.values)
 
 
@@ -93,7 +92,7 @@ def test_high_class_marginal_preserved_for_every_vehicle():
     for _ in range(seeds):
         rels = build_relevance_functions(scenario, params, rng)
         for v in range(2):
-            highs[v] += len(rels[v].high_ids)
+            highs[v] += rels[v].high_mask.bit_count()
     n = seeds * k
     p_hat = highs / n
     sigma = math.sqrt(0.3 * 0.7 / n)
@@ -142,7 +141,7 @@ def test_high_values_redrawn_per_vehicle():
     scenario = _two_vehicle_scenario(10.0)
     rng = np.random.default_rng(13)
     rels = build_relevance_functions(scenario, params, rng)
-    shared = sorted(rels[0].high_ids & rels[1].high_ids)
+    shared = ids_of(rels[0].high_mask & rels[1].high_mask)
     assert shared  # 10 m apart, rho = 0.9: plenty of shared high ids
     assert any(rels[0].values[k] != rels[1].values[k] for k in shared)
 
@@ -154,8 +153,3 @@ def test_build_is_deterministic():
     b = build_relevance_functions(scenario, params, np.random.default_rng(99))
     assert [r.values for r in a] == [r.values for r in b]
 
-
-def test_semantic_value_zeroed_by_redundancy():
-    assert semantic_value(0.7, redundant=False) == 0.7
-    assert semantic_value(0.7, redundant=True) == 0.0
-    assert semantic_value(0.0, redundant=False) == 0.0

@@ -7,7 +7,6 @@ import pytest
 
 from relevance_sim import (
     EstimationModel,
-    SelectionContext,
     estimate_receiver_known,
     estimation_error,
     exhaustive_best_selection,
@@ -19,26 +18,19 @@ from relevance_sim import (
     select_rm,
     select_semantic,
 )
-from relevance_sim.schemes import random_selection_instance
+from relevance_sim.schemes import ids_of, mask_of, random_selection_instance
 
 MODEL = EstimationModel()
+S_MIN = 0.05
 
 
-def _ctx(local, gamma, est_known=frozenset(), values=None, known_size=None,
-         receivers=(1,), true_known=None, s_min=0.05):
-    if values is None:
-        values = {r: [0.0] * 40 for r in receivers}
-    return SelectionContext(
-        transmitter=0,
-        local_set=set(local),
-        known_set_size=len(local) if known_size is None else known_size,
-        estimated_receiver_known=set(est_known),
-        receivers=tuple(receivers),
-        gamma=gamma,
-        s_min=s_min,
-        receiver_values=values,
-        true_receiver_known=true_known,
-    )
+_m = mask_of  # short name for the many literal masks below
+
+
+def _width(known_size):
+    # Noise width the engine hands the semantic selector for a transmitter
+    # that knows `known_size` objects.
+    return MODEL.value_range_width * estimation_error(known_size, MODEL)
 
 
 # --- estimation model -------------------------------------------------------
@@ -88,19 +80,24 @@ def test_estimated_value_uniform_on_interval():
 # --- channel-derived receiver-knowledge estimate ----------------------------
 
 def test_estimate_receiver_known_union_and_expiry():
-    assert estimate_receiver_known([], current_slot=5, n_vehicles=2) == set()
-    history = [((1, 2), 4), ((2, 3), 5)]
-    assert estimate_receiver_known(history, current_slot=5, n_vehicles=2) == {1, 2, 3}
-    # First entry is now a full cycle old: only the second survives.
-    assert estimate_receiver_known(history, current_slot=6, n_vehicles=2) == {2, 3}
+    assert estimate_receiver_known([0, 0], transmitter=0) == 0
+    sent = [_m({1, 2}), _m({2, 3})]
+    # Slot 5 of a 2-vehicle run: vehicle 1 transmits, vehicle 0's message is
+    # still valid.
+    assert ids_of(estimate_receiver_known(sent, transmitter=1)) == [1, 2]
+    # A 3-vehicle channel unites every other sender's message.
+    assert ids_of(estimate_receiver_known(sent + [0], transmitter=2)) == [1, 2, 3]
+    # Slot 6: vehicle 0 transmits again, so its own message (a full cycle
+    # old) is not part of the estimate; only the second survives.
+    assert ids_of(estimate_receiver_known(sent, transmitter=0)) == [2, 3]
 
 
 # --- content-agnostic selectors ---------------------------------------------
 
 def test_baseline_under_budget_sends_everything():
     rng = np.random.default_rng(4)
-    assert select_baseline(_ctx({3, 7, 9}, gamma=5), rng) == {3, 7, 9}
-    assert select_baseline(_ctx(set(), gamma=5), rng) == set()
+    assert select_baseline(_m({3, 7, 9}), 5, rng) == [3, 7, 9]
+    assert select_baseline(0, 5, rng) == []
 
 
 def test_baseline_over_budget_uniform_subset():
@@ -108,8 +105,8 @@ def test_baseline_over_budget_uniform_subset():
     rng = np.random.default_rng(5)
     counts = {k: 0 for k in local}
     for _ in range(10_000):
-        out = select_baseline(_ctx(local, gamma=4), rng)
-        assert len(out) == 4 and out <= local
+        out = select_baseline(_m(local), 4, rng)
+        assert len(out) == 4 and set(out) <= local
         for k in out:
             counts[k] += 1
     # Each element is kept with probability gamma/|local| = 0.4.
@@ -118,16 +115,16 @@ def test_baseline_over_budget_uniform_subset():
 
 
 def test_irc_removes_redundant_only_while_over_budget():
-    local, red = {0, 1, 2, 3}, {1, 3}
+    local, red = _m({0, 1, 2, 3}), {1, 3}
     rng = np.random.default_rng(6)
     saw = set()
     for _ in range(200):
-        out = select_irc(_ctx(local, gamma=3, est_known=red), rng)
+        out = set(select_irc(local, _m(red), 3, rng))
         assert len(out) == 3 and {0, 2} <= out
         saw |= out & red
     assert saw == red  # removal among redundant ids is randomised
-    assert select_irc(_ctx(local, gamma=2, est_known=red), rng) == {0, 2}
-    assert select_irc(_ctx({0, 1}, gamma=5, est_known=red), rng) == {0, 1}
+    assert select_irc(local, _m(red), 2, rng) == [0, 2]
+    assert select_irc(_m({0, 1}), _m(red), 5, rng) == [0, 1]
 
 
 def test_irc_falls_back_to_non_redundant_subset():
@@ -137,28 +134,29 @@ def test_irc_falls_back_to_non_redundant_subset():
     red = {6, 7}
     rng = np.random.default_rng(7)
     for _ in range(100):
-        out = select_irc(_ctx(local, gamma=3, est_known=red), rng)
+        out = select_irc(_m(local), _m(red), 3, rng)
         assert len(out) == 3
-        assert out <= local - red
+        assert set(out) <= local - red
 
 
 def test_rm_drops_all_estimated_redundant():
     rng = np.random.default_rng(8)
-    assert select_rm(_ctx({0, 1, 2, 3}, gamma=3, est_known={1, 3}), rng) == {0, 2}
-    assert select_rm(_ctx({0, 1}, gamma=3, est_known={0, 1}), rng) == set()
+    assert select_rm(_m({0, 1, 2, 3}), _m({1, 3}), 3, rng) == [0, 2]
+    assert select_rm(_m({0, 1}), _m({0, 1}), 3, rng) == []
     for _ in range(100):
-        out = select_rm(_ctx(set(range(9)), gamma=2, est_known=set()), rng)
-        assert len(out) == 2 and out <= set(range(9))
+        out = select_rm(_m(range(9)), 0, 2, rng)
+        assert len(out) == 2 and set(out) <= set(range(9))
 
 
 # --- semantic selector -------------------------------------------------------
 
-def _values_for(receivers, table):
-    # table: id -> per-receiver tuple (or scalar applied to all receivers)
-    values = {r: [0.0] * 40 for r in receivers}
+def _values_for(n_receivers, table):
+    # table: id -> per-receiver tuple (or scalar applied to all receivers);
+    # one value row per receiver.
+    values = [[0.0] * 40 for _ in range(n_receivers)]
     for k, v in table.items():
-        for i, r in enumerate(receivers):
-            values[r][k] = v[i] if isinstance(v, tuple) else v
+        for i in range(n_receivers):
+            values[i][k] = v[i] if isinstance(v, tuple) else v
     return values
 
 
@@ -166,99 +164,81 @@ def test_semantic_selection_contract():
     rng = np.random.default_rng(9)
     local = set(range(12))
     for _ in range(1000):
-        values = {1: rng.uniform(0.0, 1.0, 40).tolist()}
-        ctx = _ctx(local, gamma=5, values=values, known_size=28)
-        out = select_semantic(ctx, MODEL, rng)
+        values = [rng.uniform(0.0, 1.0, 40).tolist()]
+        out = select_semantic(_m(local), 0, values, 5, S_MIN, _width(28), rng)
         assert len(out) <= 5
-        assert out <= local
+        assert set(out) <= local
+        assert out == sorted(out)
 
 
 def test_semantic_scores_redundant_as_zero():
     # Estimated-redundant ids can never outrank the threshold, whatever the noise.
     rng = np.random.default_rng(10)
-    values = _values_for((1,), {k: 0.9 for k in range(6)})
-    ctx = _ctx(set(range(6)), gamma=6, est_known={0, 1, 2, 3, 4, 5}, values=values)
-    assert select_semantic(ctx, MODEL, rng) == set()
+    values = _values_for(1, {k: 0.9 for k in range(6)})
+    local = _m(range(6))
+    assert select_semantic(local, local, values, 6, S_MIN, _width(6), rng) == []
 
 
 def test_semantic_zero_error_degenerates_to_ideal():
     rng = np.random.default_rng(11)
-    values = _values_for((1, 2), {0: (0.9, 0.1), 1: (0.2, 0.7), 2: 0.04, 3: 0.6, 4: 0.0})
-    est = {3}
+    values = _values_for(2, {0: (0.9, 0.1), 1: (0.2, 0.7), 2: 0.04, 3: 0.6, 4: 0.0})
+    local, est = _m({0, 1, 2, 3, 4}), _m({3})
     for gamma in (1, 2, 3):
-        # known_set_size far beyond the logistic midpoint forces eps ~ 0.
-        ctx = _ctx({0, 1, 2, 3, 4}, gamma=gamma, est_known=est, values=values,
-                   known_size=500, receivers=(1, 2),
-                   true_known={1: set(est), 2: set(est)})
-        got = select_semantic(ctx, MODEL, rng)
-        assert got == select_ideal_semantic(ctx)
+        # A known-set size far beyond the logistic midpoint forces eps ~ 0.
+        got = select_semantic(local, est, values, gamma, S_MIN, _width(500), rng)
+        assert got == select_ideal_semantic(local, [est, est], values, gamma, S_MIN)
 
 
 def test_semantic_all_below_threshold_sends_nothing():
     rng = np.random.default_rng(12)
-    values = _values_for((1,), {0: 0.04, 1: 0.01, 2: 0.0})
-    ctx = _ctx({0, 1, 2}, gamma=3, values=values, known_size=500)
-    assert select_semantic(ctx, MODEL, rng) == set()
+    values = _values_for(1, {0: 0.04, 1: 0.01, 2: 0.0})
+    assert select_semantic(_m({0, 1, 2}), 0, values, 3, S_MIN, _width(500), rng) == []
 
 
 def test_semantic_draw_order_matches_scalar_sampling():
     # The selector consumes exactly one uniform per (variable, receiver) pair,
-    # variables in ascending id order, receivers in declared order; replaying
+    # variables in ascending id order, receivers in row order; replaying
     # the same stream through sample_estimated_value must reproduce it.
     seed = 13
     local = {2, 5, 7, 11}
-    receivers = (1, 3)
     rng = np.random.default_rng(seed)
-    values = {r: rng.uniform(0.0, 1.0, 40).tolist() for r in receivers}
-    ctx = _ctx(local, gamma=2, est_known={5}, values=values, known_size=20,
-               receivers=receivers)
-    got = select_semantic(ctx, MODEL, np.random.default_rng(seed + 1))
+    values = [rng.uniform(0.0, 1.0, 40).tolist() for _ in range(2)]
+    got = select_semantic(_m(local), _m({5}), values, 2, S_MIN, _width(20),
+                          np.random.default_rng(seed + 1))
 
     replay = np.random.default_rng(seed + 1)
-    eps = estimation_error(ctx.known_set_size, MODEL)
+    eps = estimation_error(20, MODEL)
     scored = []
     for k in sorted(local - {5}):
-        best = max(sample_estimated_value(values[r][k], eps, MODEL, replay)
-                   for r in receivers)
-        if best > ctx.s_min:
+        best = max(sample_estimated_value(row[k], eps, MODEL, replay) for row in values)
+        if best > S_MIN:
             scored.append((-best, k))
-    expected = {k for _, k in sorted(scored)[:2]}
+    expected = sorted(k for _, k in sorted(scored)[:2])
     assert got == expected
 
 
 # --- ideal selector and its oracle -------------------------------------------
 
 def test_ideal_picks_top_true_values():
-    values = _values_for((1,), {0: 0.8, 1: 0.5, 2: 0.6, 3: 0.03})
-    ctx = _ctx({0, 1, 2, 3}, gamma=2, values=values,
-               true_known={1: {1}})  # id 1 redundant for the sole receiver
-    assert select_ideal_semantic(ctx) == {0, 2}
-
-
-def test_ideal_requires_true_knowledge():
-    with pytest.raises(ValueError):
-        select_ideal_semantic(_ctx({0}, gamma=1))
+    values = _values_for(1, {0: 0.8, 1: 0.5, 2: 0.6, 3: 0.03})
+    # id 1 redundant for the sole receiver
+    assert select_ideal_semantic(_m({0, 1, 2, 3}), [_m({1})], values, 2, S_MIN) == [0, 2]
 
 
 def test_ideal_empty_local_and_tie_break():
-    values = _values_for((1,), {0: 0.9, 1: 0.9})
-    assert select_ideal_semantic(_ctx(set(), gamma=2, values=values,
-                                      true_known={1: set()})) == set()
-    out = select_ideal_semantic(_ctx({0, 1}, gamma=1, values=values,
-                                     true_known={1: set()}))
-    assert out == {0}  # equal scores: lower id wins
+    values = _values_for(1, {0: 0.9, 1: 0.9})
+    assert select_ideal_semantic(0, [0], values, 2, S_MIN) == []
+    out = select_ideal_semantic(_m({0, 1}), [0], values, 1, S_MIN)
+    assert out == [0]  # equal scores: lower id wins
 
 
 def test_ideal_uses_best_value_over_receivers():
     # Known to receiver 1 but fresh and valuable to receiver 2: still selected.
-    values = _values_for((1, 2), {0: (0.9, 0.8), 1: (0.3, 0.2)})
-    ctx = _ctx({0, 1}, gamma=1, values=values, receivers=(1, 2),
-               true_known={1: {0}, 2: set()})
-    assert select_ideal_semantic(ctx) == {0}
+    values = _values_for(2, {0: (0.9, 0.8), 1: (0.3, 0.2)})
+    local = _m({0, 1})
+    assert select_ideal_semantic(local, [_m({0}), 0], values, 1, S_MIN) == [0]
     # Redundant for every receiver: worthless, never selected.
-    ctx = _ctx({0, 1}, gamma=2, values=values, receivers=(1, 2),
-               true_known={1: {0}, 2: {0}})
-    assert select_ideal_semantic(ctx) == {1}
+    assert select_ideal_semantic(local, [_m({0}), _m({0})], values, 2, S_MIN) == [1]
 
 
 def test_exhaustive_reference_selector():
@@ -276,47 +256,39 @@ def test_ideal_matches_brute_force_on_random_instances():
 
 # --- cross-cutting properties -------------------------------------------------
 
-def _random_est_known(rng, ctx):
+def _random_est_known(rng):
     n = int(rng.integers(0, 12))
-    return set(rng.choice(30, size=n, replace=False).tolist())
+    return _m(rng.choice(30, size=n, replace=False).tolist())
 
 
 def test_every_selector_respects_budget_and_locality():
     rng = np.random.default_rng(14)
     for _ in range(300):
-        ctx = random_selection_instance(rng)
-        ctx.estimated_receiver_known = _random_est_known(rng, ctx)
+        local, known, values, gamma, s_min = random_selection_instance(rng)
+        est = _random_est_known(rng)
         outputs = [
-            select_baseline(ctx, rng),
-            select_irc(ctx, rng),
-            select_rm(ctx, rng),
-            select_semantic(ctx, MODEL, rng),
-            select_ideal_semantic(ctx),
+            select_baseline(local, gamma, rng),
+            select_irc(local, est, gamma, rng),
+            select_rm(local, est, gamma, rng),
+            select_semantic(local, est, values, gamma, s_min, _width(local.bit_count()), rng),
+            select_ideal_semantic(local, known, values, gamma, s_min),
         ]
         for out in outputs:
-            assert len(out) <= ctx.gamma
-            assert out <= ctx.local_set
+            assert len(out) <= gamma
+            assert _m(out) & ~local == 0
+            assert out == sorted(set(out))
         # The redundancy-mitigation output shares nothing with the estimate.
-        assert outputs[2].isdisjoint(ctx.estimated_receiver_known)
+        assert _m(outputs[2]) & est == 0
 
 
 def test_selectors_are_pure_given_stream_state():
     rng_a = np.random.default_rng(15)
     rng_b = np.random.default_rng(15)
-    ctx = random_selection_instance(np.random.default_rng(16))
-    ctx.estimated_receiver_known = {1, 4}
-    for select in (select_baseline, select_irc, select_rm):
-        assert select(ctx, rng_a) == select(ctx, rng_b)
-    assert select_semantic(ctx, MODEL, rng_a) == select_semantic(ctx, MODEL, rng_b)
-
-
-def test_context_validation():
-    with pytest.raises(ValueError):
-        _ctx({1}, gamma=0).validate()
-    ctx = _ctx({1}, gamma=1)
-    ctx.receivers = ()
-    with pytest.raises(ValueError):
-        ctx.validate()
-    ctx = _ctx({1}, gamma=1, receivers=(0, 1))
-    with pytest.raises(ValueError):
-        ctx.validate()
+    local, _, values, gamma, s_min = random_selection_instance(np.random.default_rng(16))
+    est = _m({1, 4})
+    assert select_baseline(local, gamma, rng_a) == select_baseline(local, gamma, rng_b)
+    for select in (select_irc, select_rm):
+        assert select(local, est, gamma, rng_a) == select(local, est, gamma, rng_b)
+    width = _width(local.bit_count())
+    assert (select_semantic(local, est, values, gamma, s_min, width, rng_a)
+            == select_semantic(local, est, values, gamma, s_min, width, rng_b))
