@@ -2,7 +2,6 @@
 from .engine import (
     EpisodeConfig,
     KnowledgeBase,
-    Mode,
     SimState,
     run_episode,
     run_episode_accumulator,
@@ -11,6 +10,7 @@ from .engine import (
 from .harness import (
     ConfigError,
     ExperimentSpec,
+    Mode,
     SweepRow,
     emit_csv,
     parse_config,
@@ -25,6 +25,7 @@ from .relevance import (
     correlation_coefficient,
 )
 from .scenario import (
+    Fleet,
     MobilityMode,
     ObjectPoint,
     SceneConfig,

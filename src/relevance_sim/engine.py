@@ -13,22 +13,30 @@ expires exactly when its sender transmits again, so:
 - vehicle v knows `local[v] | OR(sent[s] for s != v)`;
 - the channel estimate of what the receivers know is `OR(sent[s] for s != tx)`;
 - expiry clears `sent[tx]` at the start of tx's own slot.
+
+Geometry is cached per episode in the form the slot loop uses: the (K, 2)
+array of object positions, built once, and each vehicle's detection
+probabilities.  In a constant-velocity episode every slot first moves all
+vehicles one step in place (`advance_mobility` on the episode's `Fleet`) and
+then recomputes the transmitter's probabilities; static episodes never
+recompute them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .metrics import MetricsAccumulator, MetricsRecord
 from .relevance import RelevanceFunction, RelevanceParams, build_relevance_functions
 from .scenario import (
+    Fleet,
     MobilityMode,
     SceneConfig,
     Scenario,
     advance_mobility,
     detection_probability_vector,
+    object_coordinates,
     place_objects,
     sample_hits,
     spawn_vehicles,
@@ -45,11 +53,6 @@ from .schemes import (
     select_rm,
     select_semantic,
 )
-
-
-class Mode(Enum):
-    UNICAST = "unicast"
-    BROADCAST = "broadcast"
 
 
 @dataclass(slots=True)
@@ -72,59 +75,55 @@ class KnowledgeBase:
         return mask
 
 
+@dataclass(frozen=True)
+class EpisodeConfig:
+    scene: SceneConfig
+    relevance: RelevanceParams
+    estimation: EstimationModel
+    scheme: SchemeKind
+    gamma: int
+    slots: int
+    sv_aggregation: str = "max"
+
+
 @dataclass(slots=True)
 class SimState:
+    """One episode in progress. `scenario` is the episode as spawned; the
+    vehicles' current positions live in `fleet`."""
+
     slot: int
+    config: EpisodeConfig
     scenario: Scenario
     relevance: list[RelevanceFunction]
     knowledge: KnowledgeBase
-    scheme: SchemeKind
-    gamma: int
-    mode: Mode
-    estimation: EstimationModel
-    s_min: float
-    # Hot-loop cache: per-vehicle detection probabilities (static positions).
-    _probs: list[np.ndarray] = field(default_factory=list, repr=False)
-
-    def validate(self) -> None:
-        n = len(self.scenario.vehicles)
-        if self.mode is Mode.UNICAST and n != 2:
-            raise ValueError("unicast requires exactly 2 vehicles")
-        if self.mode is Mode.BROADCAST and n < 3:
-            raise ValueError("broadcast requires at least 3 vehicles")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
+    fleet: Fleet
+    # Hot-loop caches: the object positions as one (K, 2) array, and each
+    # vehicle's detection probabilities from its current position (replaced
+    # for the transmitter whenever the vehicles move).
+    _xy: np.ndarray = field(repr=False)
+    _probs: list[np.ndarray] = field(repr=False)
 
 
 def new_sim_state(
-    scenario: Scenario,
-    relevance: list[RelevanceFunction],
-    scheme: SchemeKind,
-    gamma: int,
-    mode: Mode,
-    estimation: EstimationModel,
-    s_min: float,
+    scenario: Scenario, relevance: list[RelevanceFunction], config: EpisodeConfig
 ) -> SimState:
     n = len(scenario.vehicles)
     # Dense object ids double as bit positions and value-vector indices.
     assert all(o.id == i for i, o in enumerate(scenario.objects))
-    state = SimState(
+    xy = object_coordinates(scenario.objects)
+    return SimState(
         slot=0,
+        config=config,
         scenario=scenario,
         relevance=relevance,
         knowledge=KnowledgeBase(local=[0] * n, sent=[0] * n),
-        scheme=scheme,
-        gamma=gamma,
-        mode=mode,
-        estimation=estimation,
-        s_min=s_min,
+        fleet=Fleet.of(scenario),
+        _xy=xy,
         _probs=[
-            detection_probability_vector(v.position, scenario.objects, v.perception_coeffs)
+            detection_probability_vector(v.position, xy, v.perception_coeffs)
             for v in scenario.vehicles
         ],
     )
-    state.validate()
-    return state
 
 
 def run_slot(
@@ -138,16 +137,16 @@ def run_slot(
     used it, else None.
     """
     t = state.slot
-    n = len(state.scenario.vehicles)
+    vehicles = state.scenario.vehicles
+    n = len(vehicles)
     tx = t % n
     kb = state.knowledge
     kb.sent[tx] = 0  # one full cycle old: expires before tx sends again
 
     if state.scenario.config.mobility_mode is MobilityMode.CONSTANT_VELOCITY:
-        state.scenario = advance_mobility(state.scenario, 1)
-        v = state.scenario.vehicles[tx]
+        advance_mobility(state.fleet, 1)
         state._probs[tx] = detection_probability_vector(
-            v.position, state.scenario.objects, v.perception_coeffs
+            state.fleet.positions[tx], state._xy, vehicles[tx].perception_coeffs
         )
 
     local = mask_of(sample_hits(state._probs[tx], rng))
@@ -157,18 +156,19 @@ def run_slot(
     values = [state.relevance[r].values for r in receivers]
     known = [kb.known_mask(r) for r in receivers]
     est_known = estimate_receiver_known(kb.sent, tx)
-    gamma, s_min = state.gamma, state.s_min
+    config = state.config
+    scheme, gamma, s_min = config.scheme, config.gamma, config.relevance.s_min
 
     eps = None
-    if state.scheme is SchemeKind.BASELINE:
+    if scheme is SchemeKind.BASELINE:
         selected = select_baseline(local, gamma, rng)
-    elif state.scheme is SchemeKind.IRC:
+    elif scheme is SchemeKind.IRC:
         selected = select_irc(local, est_known, gamma, rng)
-    elif state.scheme is SchemeKind.RM:
+    elif scheme is SchemeKind.RM:
         selected = select_rm(local, est_known, gamma, rng)
-    elif state.scheme is SchemeKind.SEMANTIC:
-        eps = estimation_error(kb.known_mask(tx).bit_count(), state.estimation)
-        delta = state.estimation.value_range_width * eps
+    elif scheme is SchemeKind.SEMANTIC:
+        eps = estimation_error(kb.known_mask(tx).bit_count(), config.estimation)
+        delta = config.estimation.value_range_width * eps
         selected = select_semantic(local, est_known, values, gamma, s_min, delta, rng)
     else:
         selected = select_ideal_semantic(local, known, values, gamma, s_min)
@@ -178,18 +178,6 @@ def run_slot(
     kb.sent[tx] = sent
     state.slot = t + 1
     return selected, values, known, eps
-
-
-@dataclass(frozen=True)
-class EpisodeConfig:
-    scene: SceneConfig
-    relevance: RelevanceParams
-    estimation: EstimationModel
-    scheme: SchemeKind
-    gamma: int
-    mode: Mode
-    slots: int
-    sv_aggregation: str = "max"
 
 
 def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> MetricsAccumulator:
@@ -207,10 +195,7 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
         vehicles=spawn_vehicles(config.scene, rng),
     )
     relevance = build_relevance_functions(scenario, config.relevance, rng)
-    state = new_sim_state(
-        scenario, relevance, config.scheme, config.gamma, config.mode,
-        config.estimation, config.relevance.s_min,
-    )
+    state = new_sim_state(scenario, relevance, config)
     acc = MetricsAccumulator(s_min=config.relevance.s_min, sv_aggregation=config.sv_aggregation)
     record_tx = acc.record_transmission
     record_hrr = acc.record_awareness_snapshot

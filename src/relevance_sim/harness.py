@@ -2,14 +2,17 @@
 and the line-oriented configuration grammar."""
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .engine import EpisodeConfig, Mode, run_episode_accumulator
+from .engine import EpisodeConfig, run_episode_accumulator
 from .metrics import SV_AGGREGATIONS, MetricsRecord
 from .relevance import RelevanceParams
 from .scenario import MobilityMode, SceneConfig
@@ -25,6 +28,13 @@ CSV_COLUMNS = (
     "hrr", "hrr_ci", "mean_sv", "mean_sv_ci", "lrr", "lrr_ci",
     "usage", "usage_ci", "se", "se_ci", "mean_eps", "tx_multiplicity",
 )
+
+
+class Mode(Enum):
+    """Topology: 2 vehicles exchange unicast messages, more broadcast them."""
+
+    UNICAST = "unicast"
+    BROADCAST = "broadcast"
 
 
 class ConfigError(ValueError):
@@ -134,14 +144,14 @@ def _ci_half_width(values: list[float]) -> float | None:
     return 1.96 * math.sqrt(var / len(values))
 
 
-def _run_cell(spec: ExperimentSpec, scheme: SchemeKind, gamma: int) -> SweepRow:
+def _run_cell(spec: ExperimentSpec, cell: tuple[SchemeKind, int]) -> SweepRow:
+    scheme, gamma = cell
     episode = EpisodeConfig(
         scene=spec.scene,
         relevance=spec.relevance,
         estimation=spec.estimation,
         scheme=scheme,
         gamma=gamma,
-        mode=spec.mode,
         slots=spec.slots_per_episode,
         sv_aggregation=spec.sv_aggregation,
     )
@@ -200,22 +210,28 @@ def run_sweep(
     progress: Callable[[str], None] | None = None,
 ) -> list[SweepRow]:
     """Run every (scheme, gamma) cell of the grid; rows come back sorted by
-    (mode, scheme order, gamma) regardless of execution order or parallelism."""
+    (mode, scheme order, gamma) regardless of execution order or parallelism.
+
+    `progress` gets one line per cell as it finishes, in the serial and in the
+    parallel path alike.
+    """
     spec.validate()
     cells = [(scheme, gamma) for scheme in spec.schemes for gamma in spec.gammas]
     workers = min(_worker_count(), len(cells))
-    rows: list[SweepRow]
-    if workers > 1:
-        import multiprocessing
+    run_cell = functools.partial(_run_cell, spec)
+    rows: list[SweepRow] = []
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.starmap(_run_cell, [(spec, s, g) for s, g in cells], chunksize=1)
-    else:
-        rows = []
-        for scheme, gamma in cells:
-            rows.append(_run_cell(spec, scheme, gamma))
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            finished = pool.imap_unordered(run_cell, cells, chunksize=1)
+        else:
+            finished = map(run_cell, cells)
+        for row in finished:
+            rows.append(row)
             if progress is not None:
-                progress(f"{scheme.value} gamma={gamma} done")
+                progress(f"{row.scheme.value} gamma={row.gamma} done")
     rows.sort(key=lambda r: (r.mode.value, SCHEME_INDEX[r.scheme], r.gamma))
     return rows
 

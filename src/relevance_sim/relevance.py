@@ -45,17 +45,15 @@ class RelevanceParams:
 
 @dataclass(frozen=True)
 class RelevanceFunction:
-    owner: int
     values: tuple[float, ...]
     # Derived, cached for the hot loop: the ids with a nonzero value, as a
     # bitmask over object ids.
     high_mask: int = field(repr=False, default=0)
 
     @staticmethod
-    def from_values(owner: int, values: np.ndarray) -> RelevanceFunction:
+    def from_values(values: np.ndarray) -> RelevanceFunction:
         return RelevanceFunction(
-            owner=owner,
-            values=tuple(float(v) for v in values),
+            values=tuple(values.tolist()),
             high_mask=mask_of(np.flatnonzero(values > 0.0).tolist()),
         )
 
@@ -103,8 +101,8 @@ def build_relevance_functions(
         class_vectors.append(np.where(copy, ref_high, redraw))
     lo, hi = params.high_range
     out = []
-    for v, high in zip(scenario.vehicles, class_vectors):
+    for high in class_vectors:
         values = np.where(high, rng.uniform(lo, hi, k), params.low_value)
-        out.append(RelevanceFunction.from_values(v.id, values))
+        out.append(RelevanceFunction.from_values(values))
     return out
 

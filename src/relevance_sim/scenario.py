@@ -2,9 +2,11 @@
 onboard perception model (distance-dependent detection probability)."""
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +43,7 @@ class SceneConfig:
             raise ValueError("vehicle_speed must be >= 0")
 
 
-@dataclass(frozen=True)
-class ObjectPoint:
+class ObjectPoint(NamedTuple):
     id: int
     position: tuple[float, float]
 
@@ -70,17 +71,21 @@ def detection_probability(distance: float, coeffs: tuple[float, float, float]) -
     return 1.0 / (1.0 + a1 * math.exp(-a2 * (distance - a3)))
 
 
+def object_coordinates(objects: list[ObjectPoint]) -> np.ndarray:
+    """The (K, 2) float array of object positions, row k for object k."""
+    flat = itertools.chain.from_iterable(o.position for o in objects)
+    return np.fromiter(flat, dtype=float, count=2 * len(objects)).reshape(-1, 2)
+
+
 def detection_probability_vector(
     position: tuple[float, float],
-    objects: list[ObjectPoint],
+    xy: np.ndarray,
     coeffs: tuple[float, float, float],
 ) -> np.ndarray:
-    """Vectorised detection probabilities from one viewpoint to every object."""
-    if not objects:
-        return np.zeros(0)
+    """Vectorised detection probabilities from one viewpoint to every object
+    of the `object_coordinates` array `xy`."""
     a1, a2, a3 = coeffs
-    pts = np.asarray([o.position for o in objects])
-    d = np.hypot(pts[:, 0] - position[0], pts[:, 1] - position[1])
+    d = np.hypot(xy[:, 0] - position[0], xy[:, 1] - position[1])
     return 1.0 / (1.0 + a1 * np.exp(-a2 * (d - a3)))
 
 
@@ -91,9 +96,9 @@ def place_objects(config: SceneConfig, rng: np.random.Generator) -> list[ObjectP
     process, so a fixed count and uniform positions are mutually consistent.
     """
     config.validate()
-    xs = rng.uniform(0.0, config.width, config.object_count)
-    ys = rng.uniform(0.0, config.height, config.object_count)
-    return [ObjectPoint(k, (float(xs[k]), float(ys[k]))) for k in range(config.object_count)]
+    xs = rng.uniform(0.0, config.width, config.object_count).tolist()
+    ys = rng.uniform(0.0, config.height, config.object_count).tolist()
+    return list(map(ObjectPoint, range(config.object_count), zip(xs, ys)))
 
 
 def spawn_vehicles(config: SceneConfig, rng: np.random.Generator) -> list[VehicleKinematics]:
@@ -119,27 +124,52 @@ def spawn_vehicles(config: SceneConfig, rng: np.random.Generator) -> list[Vehicl
     return out
 
 
-def advance_mobility(scenario: Scenario, slots: int) -> Scenario:
-    """Move every vehicle `slots` time steps along its origin->destination segment.
+@dataclass(slots=True)
+class Fleet:
+    """One episode's vehicle positions, moved in place by `advance_mobility`.
 
-    Static episodes are the identity; constant-velocity vehicles clamp at the
-    destination instead of overshooting or respawning.
+    `positions[v]` is vehicle v's current position. `tracks[v]` holds what
+    stays constant along its origin->destination segment: origin x and y,
+    direction dx and dy, segment length, and metres per slot (0 in a static
+    episode).
+    """
+
+    positions: list[tuple[float, float]]
+    tracks: list[tuple[float, float, float, float, float, float]]
+
+    @staticmethod
+    def of(scenario: Scenario) -> Fleet:
+        cfg = scenario.config
+        moving = cfg.mobility_mode is MobilityMode.CONSTANT_VELOCITY
+        tracks = []
+        for v in scenario.vehicles:
+            ox, oy = v.origin
+            dx, dy = v.destination[0] - ox, v.destination[1] - oy
+            step = v.speed * cfg.slot_duration if moving else 0.0
+            tracks.append((ox, oy, dx, dy, math.hypot(dx, dy), step))
+        return Fleet(positions=[v.position for v in scenario.vehicles], tracks=tracks)
+
+
+def advance_mobility(fleet: Fleet, slots: int) -> None:
+    """Move every vehicle `slots` time steps along its segment, in place.
+
+    Vehicles clamp at the destination instead of overshooting or respawning;
+    in a static episode they stay where they are. Each vehicle's new position
+    is worked out from its current one: the distance travelled so far
+    (`math.hypot`) plus the step, clamped to the segment length. A closed
+    form over the slot count, or numpy's `hypot`, would change the low bits
+    of the positions, and with them the golden CSV bytes.
     """
     if slots < 0:
         raise ValueError("slots must be >= 0")
-    cfg = scenario.config
-    if cfg.mobility_mode is MobilityMode.STATIC_EPISODE or slots == 0:
-        return scenario
-    moved = []
-    for v in scenario.vehicles:
-        ox, oy = v.origin
-        dx, dy = v.destination[0] - ox, v.destination[1] - oy
-        seg_len = math.hypot(dx, dy)
-        travelled = math.hypot(v.position[0] - ox, v.position[1] - oy)
-        travelled = min(seg_len, travelled + v.speed * cfg.slot_duration * slots)
+    if slots == 0:
+        return
+    positions = fleet.positions
+    for v, (ox, oy, dx, dy, seg_len, step) in enumerate(fleet.tracks):
+        x, y = positions[v]
+        travelled = min(seg_len, math.hypot(x - ox, y - oy) + step * slots)
         frac = travelled / seg_len
-        moved.append(replace(v, position=(ox + frac * dx, oy + frac * dy)))
-    return Scenario(config=cfg, objects=scenario.objects, vehicles=moved)
+        positions[v] = (ox + frac * dx, oy + frac * dy)
 
 
 def sample_hits(probs: np.ndarray, rng: np.random.Generator) -> list[int]:
@@ -157,5 +187,6 @@ def sample_local_set(
     Snapshots do not accumulate across communication cycles; every call is a
     new attempt with the per-object detection probability.
     """
-    probs = detection_probability_vector(vehicle.position, objects, vehicle.perception_coeffs)
+    xy = object_coordinates(objects)
+    probs = detection_probability_vector(vehicle.position, xy, vehicle.perception_coeffs)
     return {objects[i].id for i in sample_hits(probs, rng)}

@@ -1,8 +1,11 @@
 """Communication loop: round-robin turns, expiry, delivery, knowledge updates."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from relevance_sim import (
+    ConfigError,
     EpisodeConfig,
     EstimationModel,
     KnowledgeBase,
@@ -14,9 +17,11 @@ from relevance_sim import (
     SchemeKind,
     build_relevance_functions,
     place_objects,
+    preset,
     run_episode,
     run_episode_accumulator,
     run_slot,
+    run_sweep,
     spawn_vehicles,
 )
 from relevance_sim.engine import new_sim_state
@@ -31,10 +36,11 @@ def _fresh_state(seed, scheme=SchemeKind.BASELINE, gamma=10, vehicles=2,
     cfg = SceneConfig(vehicle_count=vehicles, mobility_mode=mobility)
     scenario = Scenario(cfg, place_objects(cfg, rng), spawn_vehicles(cfg, rng))
     relevance = build_relevance_functions(scenario, relevance_params, rng)
-    mode = Mode.UNICAST if vehicles == 2 else Mode.BROADCAST
-    state = new_sim_state(scenario, relevance, scheme, gamma, mode,
-                          EstimationModel(), relevance_params.s_min)
-    return state, rng
+    config = EpisodeConfig(
+        scene=cfg, relevance=relevance_params, estimation=EstimationModel(), scheme=scheme,
+        gamma=gamma, slots=400,
+    )
+    return new_sim_state(scenario, relevance, config), rng
 
 
 def _receivers(tx, n):
@@ -186,7 +192,7 @@ def test_all_low_relevance_yields_empty_messages():
 def test_episode_is_deterministic():
     cfg = EpisodeConfig(scene=SceneConfig(), relevance=PARAMS,
                         estimation=EstimationModel(), scheme=SchemeKind.SEMANTIC,
-                        gamma=7, mode=Mode.UNICAST, slots=120)
+                        gamma=7, slots=120)
     a = run_episode(cfg, np.random.default_rng(40))
     b = run_episode(cfg, np.random.default_rng(40))
     assert a == b
@@ -197,7 +203,7 @@ def test_episode_is_deterministic():
 def test_warm_up_excludes_first_cycle():
     cfg = EpisodeConfig(scene=SceneConfig(), relevance=PARAMS,
                         estimation=EstimationModel(), scheme=SchemeKind.BASELINE,
-                        gamma=5, mode=Mode.UNICAST, slots=200)
+                        gamma=5, slots=200)
     acc = run_episode_accumulator(cfg, np.random.default_rng(42))
     # 200 slots minus a 2-slot warm-up: 99 counted messages per vehicle.
     assert acc.messages == 198
@@ -207,7 +213,7 @@ def test_warm_up_excludes_first_cycle():
 def test_episode_shorter_than_two_cycles_rejected():
     cfg = EpisodeConfig(scene=SceneConfig(vehicle_count=4), relevance=PARAMS,
                         estimation=EstimationModel(), scheme=SchemeKind.BASELINE,
-                        gamma=5, mode=Mode.BROADCAST, slots=7)
+                        gamma=5, slots=7)
     with pytest.raises(ValueError):
         run_episode_accumulator(cfg, np.random.default_rng(43))
 
@@ -217,7 +223,7 @@ def test_unconstrained_baseline_sends_whole_local_set():
     # reproduces the mean detection count (~15 objects).
     cfg = EpisodeConfig(scene=SceneConfig(), relevance=PARAMS,
                         estimation=EstimationModel(), scheme=SchemeKind.BASELINE,
-                        gamma=25, mode=Mode.UNICAST, slots=400)
+                        gamma=25, slots=400)
     # Per-episode means swing widely with vehicle placement (a corner vehicle
     # sees far fewer objects), so average over a batch of scenes.
     sizes = []
@@ -228,16 +234,21 @@ def test_unconstrained_baseline_sends_whole_local_set():
 
 
 def test_mode_topology_mismatch_rejected():
-    state, _ = _fresh_state(44, vehicles=4)
-    state.mode = Mode.UNICAST
-    with pytest.raises(ValueError):
-        state.validate()
+    # The engine holds no topology mode; a 4-vehicle unicast grid is refused by
+    # the spec, before any episode runs.
+    spec = dataclasses.replace(preset("fig8"), mode=Mode.UNICAST)
+    with pytest.raises(ConfigError):
+        spec.validate()
+    progress = []
+    with pytest.raises(ConfigError):
+        run_sweep(spec, progress=progress.append)
+    assert progress == []
 
 
 def test_constant_velocity_vehicles_move_during_episode():
     state, rng = _fresh_state(45, vehicles=2, mobility=MobilityMode.CONSTANT_VELOCITY)
-    start = [v.position for v in state.scenario.vehicles]
+    start = list(state.fleet.positions)
+    assert start == [v.position for v in state.scenario.vehicles]
     for _ in range(50):
         run_slot(state, rng)
-    moved = [v.position for v in state.scenario.vehicles]
-    assert moved != start
+    assert all(a != b for a, b in zip(state.fleet.positions, start))

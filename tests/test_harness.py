@@ -121,6 +121,19 @@ def test_sweep_rows_sorted_and_deterministic(monkeypatch):
     assert render_csv(run_sweep(spec)) == render_csv(rows)
 
 
+def test_parallel_sweep_reports_each_cell_and_matches_serial(monkeypatch):
+    spec = _tiny_spec(schemes=(SchemeKind.IRC, SchemeKind.IDEAL_SEMANTIC), gammas=(1, 4, 9))
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
+    serial = render_csv(run_sweep(spec))
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "2")
+    lines = []
+    rows = run_sweep(spec, progress=lines.append)
+    assert render_csv(rows) == serial
+    assert sorted(lines) == sorted(
+        f"{s.value} gamma={g} done" for s in spec.schemes for g in spec.gammas
+    )
+
+
 def test_worker_count_env_validation(monkeypatch):
     monkeypatch.setenv("RELEVANCE_SIM_THREADS", "not-a-number")
     with pytest.raises(ConfigError):
@@ -156,6 +169,8 @@ def test_spec_validation_errors():
         _tiny_spec(sv_aggregation="median").validate()
     with pytest.raises(ConfigError):
         _tiny_spec(mode=Mode.BROADCAST).validate()  # 2 vehicles can't broadcast
+    with pytest.raises(ConfigError):
+        _tiny_spec(vehicle_count=4, mode=Mode.UNICAST).validate()  # 4 can't unicast
 
 
 # --- CSV ------------------------------------------------------------------------

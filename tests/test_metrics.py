@@ -105,7 +105,7 @@ def test_efficiency_times_variables_equals_total_value():
 
 def test_awareness_snapshot_ratio():
     acc = MetricsAccumulator(s_min=S_MIN)
-    rel = RelevanceFunction.from_values(0, np.array([0.6, 0.8, 0.0, 0.0]))
+    rel = RelevanceFunction.from_values(np.array([0.6, 0.8, 0.0, 0.0]))
     acc.record_awareness_snapshot(0b1001, rel)  # knows ids 0 and 3, high {0,1}
     assert acc.finalize() .hrr is None  # no messages yet -> whole record is "no data"
     acc.record_transmission(*_message([], [], [], gamma=1))
@@ -116,7 +116,7 @@ def test_awareness_snapshot_ratio():
 
 def test_vehicle_without_high_class_contributes_no_snapshot():
     acc = MetricsAccumulator(s_min=S_MIN)
-    rel = RelevanceFunction.from_values(0, np.zeros(4))
+    rel = RelevanceFunction.from_values(np.zeros(4))
     acc.record_awareness_snapshot(0b1111, rel)
     acc.record_transmission(*_message([], [], [], gamma=1))
     assert acc.finalize().hrr is None

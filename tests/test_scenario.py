@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from relevance_sim import (
+    Fleet,
     MobilityMode,
     ObjectPoint,
     SceneConfig,
@@ -16,6 +17,7 @@ from relevance_sim import (
     sample_local_set,
     spawn_vehicles,
 )
+from relevance_sim.scenario import detection_probability_vector, object_coordinates
 
 COEFFS = SceneConfig().detection_coeffs
 
@@ -32,6 +34,20 @@ def test_detection_probability_strictly_decreasing():
     p = np.array([detection_probability(x, COEFFS) for x in d])
     assert np.all(np.diff(p) < 0)
     assert np.all((p > 0) & (p < 1))
+
+
+def test_detection_probability_vector_matches_scalar_curve():
+    cfg = SceneConfig()
+    objs = place_objects(cfg, np.random.default_rng(8))
+    xy = object_coordinates(objs)
+    assert xy.shape == (cfg.object_count, 2)
+    assert [tuple(row) for row in xy.tolist()] == [o.position for o in objs]
+    position = (313.25, 71.5)
+    probs = detection_probability_vector(position, xy, COEFFS)
+    for o, p in zip(objs, probs):
+        d = math.hypot(o.position[0] - position[0], o.position[1] - position[1])
+        assert abs(p - detection_probability(d, COEFFS)) <= 1e-15
+    assert detection_probability_vector(position, object_coordinates([]), COEFFS).shape == (0,)
 
 
 def test_place_objects_bounds_count_and_determinism():
@@ -135,8 +151,9 @@ def test_advance_mobility_static_is_identity():
     rng = np.random.default_rng(5)
     cfg = SceneConfig()
     scenario = Scenario(cfg, place_objects(cfg, rng), spawn_vehicles(cfg, rng))
-    moved = advance_mobility(scenario, 50)
-    assert [v.position for v in moved.vehicles] == [v.position for v in scenario.vehicles]
+    fleet = Fleet.of(scenario)
+    advance_mobility(fleet, 50)
+    assert fleet.positions == [v.position for v in scenario.vehicles]
 
 
 def test_advance_mobility_constant_velocity_moves_and_clamps():
@@ -148,13 +165,71 @@ def test_advance_mobility_constant_velocity_moves_and_clamps():
     )
     scenario = Scenario(cfg, [], [vehicle, vehicle])
     # 10 m/s * 0.1 s/slot = 1 m per slot along +x.
-    after = advance_mobility(scenario, 30)
-    assert after.vehicles[0].position == pytest.approx((30.0, 0.0))
+    jump = Fleet.of(scenario)
+    advance_mobility(jump, 30)
+    assert jump.positions[0] == pytest.approx((30.0, 0.0))
     # Stepping slot by slot lands in the same place as one big jump.
-    step = scenario
+    step = Fleet.of(scenario)
     for _ in range(30):
-        step = advance_mobility(step, 1)
-    assert step.vehicles[0].position == pytest.approx((30.0, 0.0))
-    # Far beyond the segment end: clamp at the destination, no overshoot.
-    clamped = advance_mobility(scenario, 10_000)
-    assert clamped.vehicles[0].position == pytest.approx((100.0, 0.0))
+        advance_mobility(step, 1)
+    assert step.positions[0] == pytest.approx((30.0, 0.0))
+    # Far beyond the segment end: clamp exactly at the destination, no overshoot.
+    clamped = Fleet.of(scenario)
+    advance_mobility(clamped, 10_000)
+    assert clamped.positions == [(100.0, 0.0), (100.0, 0.0)]
+    with pytest.raises(ValueError):
+        advance_mobility(clamped, -1)
+
+
+def _moving_fleet(seed, speed=100.0):
+    cfg = SceneConfig(vehicle_count=4, mobility_mode=MobilityMode.CONSTANT_VELOCITY,
+                      vehicle_speed=speed)
+    scenario = Scenario(cfg, [], spawn_vehicles(cfg, np.random.default_rng(seed)))
+    return scenario, Fleet.of(scenario)
+
+
+def test_advance_mobility_keeps_vehicles_on_their_segments():
+    for seed in range(20):
+        scenario, fleet = _moving_fleet(seed)
+        travelled = [0.0] * 4
+        for _ in range(100):  # 10 m per slot: most vehicles clamp on the way
+            advance_mobility(fleet, 1)
+            for v, (x, y) in zip(scenario.vehicles, fleet.positions):
+                (ox, oy), (tx, ty) = v.origin, v.destination
+                dx, dy = tx - ox, ty - oy
+                seg_len = math.hypot(dx, dy)
+                along = ((x - ox) * dx + (y - oy) * dy) / seg_len
+                assert abs((x - ox) * dy - (y - oy) * dx) / seg_len < 1e-9
+                assert -1e-9 <= along <= seg_len + 1e-9
+                assert along >= travelled[v.id] - 1e-9
+                travelled[v.id] = along
+
+
+def test_clamped_vehicle_sits_exactly_at_its_segment_end():
+    for seed in range(20):
+        scenario, fleet = _moving_fleet(seed)
+        advance_mobility(fleet, 83)  # 830 m: longer than the scene diagonal
+        for v, position in zip(scenario.vehicles, fleet.positions):
+            (ox, oy), (tx, ty) = v.origin, v.destination
+            # origin + 1.0 * (destination - origin), which is the destination
+            # up to the rounding of that sum.
+            end = (ox + (tx - ox), oy + (ty - oy))
+            assert position == end
+            assert position == pytest.approx(v.destination, abs=1e-12)
+        # Once clamped, further steps stay put.
+        before = list(fleet.positions)
+        advance_mobility(fleet, 1)
+        advance_mobility(fleet, 40)
+        assert fleet.positions == before
+
+
+def test_one_long_step_matches_many_short_steps():
+    for seed in range(20):
+        _, jump = _moving_fleet(seed, speed=14.0)
+        _, step = _moving_fleet(seed, speed=14.0)
+        for n in (1, 7, 40, 400):
+            advance_mobility(jump, n)
+            for _ in range(n):
+                advance_mobility(step, 1)
+            for a, b in zip(jump.positions, step.positions):
+                assert a == pytest.approx(b, abs=1e-9)
