@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 failed
-oracle check.
+oracle check, 4 failed run (an episode raised; the message names its
+scheme, budget and replication).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .harness import (
 )
 from .schemes import oracle_mismatch_count
 
-USAGE_ERROR, CONFIG_ERROR, CHECK_FAILED = 1, 2, 3
+USAGE_ERROR, CONFIG_ERROR, CHECK_FAILED, RUN_FAILED = 1, 2, 3, 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +89,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     started = time.time()
-    rows = run_sweep(spec, progress=progress)
+    try:
+        rows = run_sweep(spec, progress=progress)
+    except RuntimeError as e:
+        cause = f": {e.__cause__!r}" if e.__cause__ is not None else ""
+        print(f"run failed: {e}{cause}", file=sys.stderr)
+        return RUN_FAILED
     csv_path = os.path.join(args.out, "results.csv")
     emit_csv(rows, csv_path)
     log_path = os.path.join(args.out, "run.log")

@@ -19,11 +19,13 @@ array of object positions, built once, and each vehicle's detection
 probabilities.  In a constant-velocity episode every slot first moves all
 vehicles one step in place (`advance_mobility` on the episode's `Fleet`) and
 then recomputes the transmitter's probabilities; static episodes never
-recompute them.
+recompute them.  Each transmitter's `ReceiverView` (its receivers, their
+value rows, and the ids below s_min for all of them) is built once too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +88,24 @@ class EpisodeConfig:
     sv_aggregation: str = "max"
 
 
+class ReceiverView(NamedTuple):
+    """What a transmitter's message meets, fixed for the episode: the other
+    vehicles in ascending order, their value rows in that order, and the ids
+    valued below s_min by every one of them."""
+
+    receivers: tuple[int, ...]
+    values: list[tuple[float, ...]]
+    low: int
+
+    @staticmethod
+    def of(tx: int, relevance: list[RelevanceFunction]) -> ReceiverView:
+        receivers = tuple(r for r in range(len(relevance)) if r != tx)
+        low = -1
+        for r in receivers:
+            low &= relevance[r].low_mask
+        return ReceiverView(receivers, [relevance[r].values for r in receivers], low)
+
+
 @dataclass(slots=True)
 class SimState:
     """One episode in progress. `scenario` is the episode as spawned; the
@@ -97,11 +117,13 @@ class SimState:
     relevance: list[RelevanceFunction]
     knowledge: KnowledgeBase
     fleet: Fleet
-    # Hot-loop caches: the object positions as one (K, 2) array, and each
+    # Hot-loop caches: the object positions as one (K, 2) array, each
     # vehicle's detection probabilities from its current position (replaced
-    # for the transmitter whenever the vehicles move).
+    # for the transmitter whenever the vehicles move), and each transmitter's
+    # receiver view.
     _xy: np.ndarray = field(repr=False)
     _probs: list[np.ndarray] = field(repr=False)
+    _views: list[ReceiverView] = field(repr=False)
 
 
 def new_sim_state(
@@ -123,18 +145,19 @@ def new_sim_state(
             detection_probability_vector(v.position, xy, v.perception_coeffs)
             for v in scenario.vehicles
         ],
+        _views=[ReceiverView.of(tx, relevance) for tx in range(n)],
     )
 
 
 def run_slot(
     state: SimState, rng: np.random.Generator
-) -> tuple[list[int], list[tuple[float, ...]], list[int], float | None]:
+) -> tuple[int, list[tuple[float, ...]], list[int], int, float | None]:
     """Advance `state` one slot in place: expiry, local refresh, selection, delivery.
 
-    Returns what the metrics need about the message: the selected ids
-    (ascending), the receivers' value rows and their known masks just before
-    delivery (both in receiver order), and the estimation error if the scheme
-    used it, else None.
+    Returns what the metrics need about the message: the mask of selected
+    ids, the receivers' value rows and their known masks just before
+    delivery (both in receiver order), the mask of ids below s_min for every
+    receiver, and the estimation error if the scheme used it, else None.
     """
     t = state.slot
     vehicles = state.scenario.vehicles
@@ -152,8 +175,7 @@ def run_slot(
     local = mask_of(sample_hits(state._probs[tx], rng))
     kb.local[tx] = local
 
-    receivers = [r for r in range(n) if r != tx]
-    values = [state.relevance[r].values for r in receivers]
+    receivers, values, low = state._views[tx]
     known = [kb.known_mask(r) for r in receivers]
     est_known = estimate_receiver_known(kb.sent, tx)
     config = state.config
@@ -167,7 +189,8 @@ def run_slot(
     elif scheme is SchemeKind.RM:
         selected = select_rm(local, est_known, gamma, rng)
     elif scheme is SchemeKind.SEMANTIC:
-        eps = estimation_error(kb.known_mask(tx).bit_count(), config.estimation)
+        # tx's known mask: its snapshot plus every other sender's valid message.
+        eps = estimation_error((local | est_known).bit_count(), config.estimation)
         delta = config.estimation.value_range_width * eps
         selected = select_semantic(local, est_known, values, gamma, s_min, delta, rng)
     else:
@@ -177,7 +200,7 @@ def run_slot(
     assert len(selected) <= gamma and sent & ~local == 0
     kb.sent[tx] = sent
     state.slot = t + 1
-    return selected, values, known, eps
+    return sent, values, known, low, eps
 
 
 def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> MetricsAccumulator:
@@ -185,6 +208,9 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
 
     The first N slots are warm-up — every vehicle transmits once so estimated
     redundancy and expiry reach steady state — and contribute no samples.
+    After delivery a receiver knows what it knew before plus the message, so
+    only the transmitter's known mask is looked up again for the awareness
+    snapshots.
     """
     n = config.scene.vehicle_count
     if config.slots < 2 * n:
@@ -201,12 +227,15 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
     record_hrr = acc.record_awareness_snapshot
     knowledge = state.knowledge
     for t in range(config.slots):
-        selected, values, known, eps = run_slot(state, rng)
+        sent, values, known, low, eps = run_slot(state, rng)
         if t < n:
             continue
-        record_tx(selected, values, known, config.gamma, eps)
-        for v, rel in enumerate(relevance):
-            record_hrr(knowledge.known_mask(v), rel)
+        record_tx(sent, values, known, low, config.gamma, eps)
+        tx = t % n
+        after = [mask | sent for mask in known]
+        after.insert(tx, knowledge.known_mask(tx))
+        for mask, rel in zip(after, relevance):
+            record_hrr(mask, rel)
         acc.slots_counted += 1
     return acc
 

@@ -11,6 +11,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .relevance import RelevanceFunction
+from .schemes import ids_of
 
 SV_AGGREGATIONS = ("max", "mean")
 
@@ -57,53 +58,62 @@ class MetricsAccumulator:
 
     def record_transmission(
         self,
-        ids: Sequence[int],
+        sent: int,
         values: Sequence[Sequence[float]],
         known: Sequence[int],
+        low: int,
         gamma: int,
         eps: float | None = None,
     ) -> None:
         """Fold one message into the totals.
 
-        `ids` are the transmitted variables; `values` and `known` hold one
-        true-value row and one known mask per intended receiver, the mask
+        `sent` is the mask of transmitted variables; `values` and `known` hold
+        one true-value row and one known mask per intended receiver, the mask
         taken immediately before delivery.  A variable already in a receiver's
         known mask is redundant there and worth zero to it; the per-variable
         semantic value aggregates these per-receiver values.  A variable counts
         as low-relevance only when its true value sits below s_min for every
-        intended receiver, regardless of redundancy.  `eps` is given only when
-        selection used the estimation model.
+        intended receiver, regardless of redundancy: `low` is the mask of
+        those variables (see `RelevanceFunction.low_mask`).  `eps` is given
+        only when selection used the estimation model.
         """
         self.messages += 1
-        n = len(ids)
+        n = sent.bit_count()
         self.variables += n
         self.usage_sum += n / gamma
         if eps is not None:
             self.eps_sum += eps
             self.eps_count += 1
-        use_mean = self.sv_aggregation == "mean"
-        for k in ids:
-            self.tx_seen_mask |= 1 << k
-            total = 0.0
-            best = 0.0
-            low = True
-            for row, mask in zip(values, known):
-                w = row[k]
-                s = 0.0 if mask >> k & 1 else w
-                total += s
-                if s > best:
-                    best = s
-                if w >= self.s_min:
-                    low = False
-            self.sv_total += total / len(values) if use_mean else best
-            if low:
-                self.low_count += 1
+        self.tx_seen_mask |= sent
+        self.low_count += (sent & low).bit_count()
+        # A variable every receiver already knows is worth 0.0, and adding
+        # 0.0 leaves the total unchanged: visit only the others, ascending.
+        known_to_all = -1
+        for mask in known:
+            known_to_all &= mask
+        receivers = list(zip(values, known))
+        sv_total = self.sv_total
+        if self.sv_aggregation == "mean":
+            for k in ids_of(sent & ~known_to_all):
+                total = 0.0
+                for row, mask in receivers:
+                    if not mask >> k & 1:
+                        total += row[k]
+                sv_total += total / len(receivers)
+        else:
+            for k in ids_of(sent & ~known_to_all):
+                best = 0.0
+                for row, mask in receivers:
+                    if not mask >> k & 1 and row[k] > best:
+                        best = row[k]
+                sv_total += best
+        self.sv_total = sv_total
 
     def record_awareness_snapshot(self, known_mask: int, rel: RelevanceFunction) -> None:
         """One HRR sample: fraction of the vehicle's own high-relevance objects
         currently known to it.  Vehicles with no high-relevance objects are
         skipped rather than counted as zero."""
-        high = rel.high_mask.bit_count()
+        high = rel.high_count
         if high == 0:
             return
         self.hrr_sum += (known_mask & rel.high_mask).bit_count() / high

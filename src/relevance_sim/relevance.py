@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenario import Scenario
-from .schemes import mask_of
 
 
 @dataclass(frozen=True)
@@ -43,18 +42,28 @@ class RelevanceParams:
             raise ValueError("low-relevance class is pinned to value 0")
 
 
+def _mask_of_flags(flags: np.ndarray) -> int:
+    # Bit k set where flags[k] is true.
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 @dataclass(frozen=True)
 class RelevanceFunction:
     values: tuple[float, ...]
-    # Derived, cached for the hot loop: the ids with a nonzero value, as a
-    # bitmask over object ids.
+    # Derived, cached for the hot loop, as bitmasks over object ids: the ids
+    # with a nonzero value and their count, and the ids valued below s_min.
     high_mask: int = field(repr=False, default=0)
+    high_count: int = field(repr=False, default=0)
+    low_mask: int = field(repr=False, default=0)
 
     @staticmethod
-    def from_values(values: np.ndarray) -> RelevanceFunction:
+    def from_values(values: np.ndarray, s_min: float) -> RelevanceFunction:
+        high_mask = _mask_of_flags(values > 0.0)
         return RelevanceFunction(
             values=tuple(values.tolist()),
-            high_mask=mask_of(np.flatnonzero(values > 0.0).tolist()),
+            high_mask=high_mask,
+            high_count=high_mask.bit_count(),
+            low_mask=_mask_of_flags(values < s_min),
         )
 
 
@@ -103,6 +112,6 @@ def build_relevance_functions(
     out = []
     for high in class_vectors:
         values = np.where(high, rng.uniform(lo, hi, k), params.low_value)
-        out.append(RelevanceFunction.from_values(values))
+        out.append(RelevanceFunction.from_values(values, params.s_min))
     return out
 

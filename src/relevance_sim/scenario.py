@@ -104,11 +104,15 @@ def place_objects(config: SceneConfig, rng: np.random.Generator) -> list[ObjectP
 def spawn_vehicles(config: SceneConfig, rng: np.random.Generator) -> list[VehicleKinematics]:
     """Draw origin/destination pairs uniformly; vehicles start at their origin."""
     config.validate()
+    # uniform(0, s) is s * next_double(), so scaling one 4-double draw gives
+    # the same coordinates, in the order origin x, y, destination x, y, as
+    # four scalar uniform draws.
+    scale = np.array((config.width, config.height, config.width, config.height))
     out = []
     for vid in range(config.vehicle_count):
         while True:
-            origin = (float(rng.uniform(0.0, config.width)), float(rng.uniform(0.0, config.height)))
-            dest = (float(rng.uniform(0.0, config.width)), float(rng.uniform(0.0, config.height)))
+            ox, oy, dx, dy = (rng.random(4) * scale).tolist()
+            origin, dest = (ox, oy), (dx, dy)
             if origin != dest:  # zero-length paths have no direction
                 break
         out.append(

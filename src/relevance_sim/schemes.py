@@ -9,7 +9,9 @@ transmitter's snapshot, `est_known` the channel-derived estimate of what the
 receivers hold, and `known` the receivers' true known masks.  `values` holds
 one semantic-value row per receiver, in the order of `known`.  Every selector
 returns at most `gamma` ids of `local` in ascending order, and draws random
-numbers over ids in ascending order.
+numbers over ids in ascending order.  A random subset is drawn by shuffling
+the ascending ids in place and keeping a prefix: the same draws, and the same
+subset, as indexing them through a permutation prefix.
 """
 from __future__ import annotations
 
@@ -84,13 +86,19 @@ def mask_of(ids: Iterable[int]) -> int:
     return mask
 
 
+# _BYTE_BITS[b]: the positions of the bits set in byte value b, ascending.
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
 def ids_of(mask: int) -> list[int]:
     """The ids whose bits are set in `mask`, ascending."""
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                out.append(base + i)
+        base += 8
     return out
 
 
@@ -109,10 +117,13 @@ def estimate_receiver_known(sent: Sequence[int], transmitter: int) -> int:
     return mask
 
 
-def _random_subset(items: list[int], size: int, rng: np.random.Generator) -> int:
-    # Uniform subset via a permutation prefix over ascending ids, returned as
-    # a mask, so the draw never depends on container iteration order.
-    return mask_of(items[i] for i in rng.permutation(len(items))[:size].tolist())
+def _random_subset(items: list[int], size: int, rng: np.random.Generator) -> list[int]:
+    # Uniform subset of the ascending ids `items` (shuffled in place), returned
+    # ascending. `rng.shuffle` runs the same Fisher-Yates draws as
+    # `rng.permutation(len(items))`, so the prefix equals the permutation
+    # prefix `[items[i] for i in perm[:size]]`.
+    rng.shuffle(items)
+    return sorted(items[:size])
 
 
 def select_baseline(local: int, gamma: int, rng: np.random.Generator) -> list[int]:
@@ -120,7 +131,7 @@ def select_baseline(local: int, gamma: int, rng: np.random.Generator) -> list[in
     ids = ids_of(local)
     if len(ids) <= gamma:
         return ids
-    return ids_of(_random_subset(ids, gamma, rng))
+    return _random_subset(ids, gamma, rng)
 
 
 def select_irc(local: int, est_known: int, gamma: int, rng: np.random.Generator) -> list[int]:
@@ -138,8 +149,8 @@ def select_irc(local: int, est_known: int, gamma: int, rng: np.random.Generator)
         return ids
     redundant = ids_of(local & est_known)
     if excess <= len(redundant):
-        return ids_of(local & ~_random_subset(redundant, excess, rng))
-    return ids_of(_random_subset(ids_of(local & ~est_known), gamma, rng))
+        return ids_of(local & ~mask_of(_random_subset(redundant, excess, rng)))
+    return _random_subset(ids_of(local & ~est_known), gamma, rng)
 
 
 def select_rm(local: int, est_known: int, gamma: int, rng: np.random.Generator) -> list[int]:
@@ -147,12 +158,15 @@ def select_rm(local: int, est_known: int, gamma: int, rng: np.random.Generator) 
     candidate = ids_of(local & ~est_known)
     if len(candidate) <= gamma:
         return candidate
-    return ids_of(_random_subset(candidate, gamma, rng))
+    return _random_subset(candidate, gamma, rng)
 
 
 def _top_by_score(scored: list[tuple[float, int]], gamma: int) -> list[int]:
-    # Rank descending by score, ties to the lower object id.
-    scored.sort(key=lambda t: (-t[0], t[1]))
+    # `scored` holds (-score, id) pairs in ascending id order. Ascending pair
+    # order ranks descending by score, ties to the lower object id.
+    if len(scored) <= gamma:
+        return [k for _, k in scored]
+    scored.sort()
     return sorted(k for _, k in scored[:gamma])
 
 
@@ -190,7 +204,7 @@ def select_semantic(
             if est > best:
                 best = est
         if best > s_min:
-            scored.append((best, k))
+            scored.append((-best, k))
     return _top_by_score(scored, gamma)
 
 
@@ -207,16 +221,17 @@ def select_ideal_semantic(
     receiver; the score is the best true value over the receivers.
     Deterministic: no estimation noise, ties broken by object id.
     """
+    receivers = list(zip(known, values))
     scored = []
     for k in ids_of(local):
         best = 0.0
-        for mask, row in zip(known, values):
+        for mask, row in receivers:
             if not mask >> k & 1:
                 w = row[k]
                 if w > best:
                     best = w
         if best > s_min:
-            scored.append((best, k))
+            scored.append((-best, k))
     return _top_by_score(scored, gamma)
 
 

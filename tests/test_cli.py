@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+from relevance_sim import cli, harness
+
 BASE_CMD = [sys.executable, "-m", "relevance_sim"]
 
 
@@ -86,6 +88,22 @@ def test_non_finite_config_exits_2_before_running(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert "scene.width" in proc.stderr
     assert not out.exists()
+
+
+def test_failing_episode_exits_4_naming_the_cell(tmp_path, monkeypatch, capsys):
+    def broken(config, rng):
+        raise ArithmeticError("injected fault")
+
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
+    monkeypatch.setattr(harness, "run_episode_accumulator", broken)
+    out = tmp_path / "o"
+    code = cli.main(["run", "--preset", "fig5", "--out", str(out),
+                     "--replications", "2", "--slots", "20", "--quiet"])
+    assert code == cli.RUN_FAILED == 4
+    err = capsys.readouterr().err
+    assert "run failed: episode failed: scheme=Baseline gamma=1 replication=0" in err
+    assert "injected fault" in err
+    assert not (out / "results.csv").exists()
 
 
 def test_validate_echoes_resolved_config(tmp_path):

@@ -25,7 +25,7 @@ from relevance_sim import (
     spawn_vehicles,
 )
 from relevance_sim.engine import new_sim_state
-from relevance_sim.schemes import ids_of, mask_of
+from relevance_sim.schemes import ids_of
 
 PARAMS = RelevanceParams()
 
@@ -53,7 +53,7 @@ def test_round_robin_transmitter_order():
         rows = [rel.values for rel in state.relevance]
         for t in range(3 * vehicles):
             before = list(state.knowledge.local)
-            _, values, _, _ = run_slot(state, rng)
+            _, values, _, _, _ = run_slot(state, rng)
             assert state.slot == t + 1
             # The message goes to every vehicle but t % vehicles ...
             assert values == [rows[r] for r in _receivers(t % vehicles, vehicles)]
@@ -78,7 +78,7 @@ def test_expiry_boundary_is_one_full_cycle():
             assert kb.sent[tx] == messages[tx]
             for r in _receivers(tx, n):
                 assert messages[tx] & ~kb.known_mask(r) == 0
-        _, _, known, _ = run_slot(state, rng)
+        _, _, known, _, _ = run_slot(state, rng)
         # Exactly one cycle old: gone at the start of the sender's slot, so
         # each receiver's mask before delivery holds only its own snapshot and
         # the other senders' messages.
@@ -98,8 +98,8 @@ def test_delivery_is_lossless_and_history_matches():
     kb = state.knowledge
     for t in range(12):
         tx = t % 4
-        selected, _, _, _ = run_slot(state, rng)
-        assert kb.sent[tx] == mask_of(selected)
+        sent, _, _, _, _ = run_slot(state, rng)
+        assert kb.sent[tx] == sent
         for r in _receivers(tx, 4):
             assert kb.sent[tx] & ~kb.known_mask(r) == 0
 
@@ -118,10 +118,9 @@ def test_budget_and_locality_hold_every_slot():
     for scheme in SchemeKind:
         state, rng = _fresh_state(34, scheme=scheme, gamma=4, vehicles=2)
         for t in range(40):
-            selected, _, _, _ = run_slot(state, rng)
-            assert len(selected) <= 4
-            assert selected == sorted(selected)
-            assert mask_of(selected) & ~state.knowledge.local[t % 2] == 0
+            sent, _, _, _, _ = run_slot(state, rng)
+            assert sent.bit_count() <= 4
+            assert sent & ~state.knowledge.local[t % 2] == 0
 
 
 def test_known_set_is_local_union_valid_entries():
@@ -130,8 +129,8 @@ def test_known_set_is_local_union_valid_entries():
     kb = state.knowledge
     history = {}  # sender -> (message ids, slot)
     for t in range(20):
-        selected, _, _, _ = run_slot(state, rng)
-        history[t % n] = (selected, t)
+        sent, _, _, _, _ = run_slot(state, rng)
+        history[t % n] = (ids_of(sent), t)
         for v in range(n):
             valid = set(ids_of(kb.local[v]))
             for sender, (ids, slot) in history.items():
@@ -155,17 +154,33 @@ def test_redundancy_flags_match_receiver_state_before_delivery():
                 if s not in (r, tx):
                     mask |= kb.sent[s]
             snapshot.append(mask)
-        _, _, known, _ = run_slot(state, rng)
+        _, _, known, _, _ = run_slot(state, rng)
         assert known == snapshot
+
+
+def test_receiver_view_and_knowledge_after_delivery():
+    # The episode loop reads a receiver's awareness as its known mask before
+    # delivery plus the message, and the low class from the receiver view.
+    n = 4
+    state, rng = _fresh_state(44, vehicles=n, gamma=5)
+    kb, rels = state.knowledge, state.relevance
+    for t in range(12):
+        sent, _, known, low, _ = run_slot(state, rng)
+        receivers = _receivers(t % n, n)
+        for r, mask in zip(receivers, known):
+            assert mask | sent == kb.known_mask(r)
+        want = [k for k in range(len(rels[0].values))
+                if all(rels[r].values[k] < PARAMS.s_min for r in receivers)]
+        assert ids_of(low) == want
 
 
 def test_true_values_are_receiver_relevances():
     state, rng = _fresh_state(37, vehicles=4, gamma=5)
     rels = state.relevance
     for t in range(8):
-        selected, values, _, _ = run_slot(state, rng)
+        sent, values, _, _, _ = run_slot(state, rng)
         for r, row in zip(_receivers(t % 4, 4), values):
-            for k in selected:
+            for k in ids_of(sent):
                 assert row[k] == rels[r].values[k]
 
 
@@ -173,7 +188,7 @@ def test_eps_reported_only_for_estimating_scheme():
     for scheme, expect in ((SchemeKind.SEMANTIC, True), (SchemeKind.BASELINE, False),
                            (SchemeKind.IDEAL_SEMANTIC, False)):
         state, rng = _fresh_state(38, scheme=scheme)
-        _, _, _, eps = run_slot(state, rng)
+        _, _, _, _, eps = run_slot(state, rng)
         assert (eps is not None) == expect
 
 
@@ -184,8 +199,8 @@ def test_all_low_relevance_yields_empty_messages():
     state, rng = _fresh_state(39, scheme=SchemeKind.IDEAL_SEMANTIC,
                               relevance_params=params)
     for t in range(6):
-        selected, _, _, _ = run_slot(state, rng)
-        assert selected == []
+        sent, _, _, _, _ = run_slot(state, rng)
+        assert sent == 0
         assert state.knowledge.sent[t % 2] == 0
 
 

@@ -1,28 +1,38 @@
 """Metric accumulation: per-message semantic value, low-relevance and usage
 ratios, awareness snapshots, and shard merging."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relevance_sim import MetricsAccumulator
+from relevance_sim.engine import ReceiverView
 from relevance_sim.relevance import RelevanceFunction
+from relevance_sim.schemes import mask_of
 
 S_MIN = 0.05
 
 
 def _message(variables, true_values, redundant, gamma, eps=None, receivers=(1,)):
-    """Arguments of `record_transmission` for one message, from per-variable
-    rows of true values and redundancy flags (one entry per receiver): each
-    receiver's value row, and its known mask holding exactly the variables
-    flagged redundant for it."""
+    """Arguments of `record_transmission` for one message from vehicle 0, from
+    per-variable rows of true values and redundancy flags (one entry per
+    receiver): the sent mask, each receiver's value row, its known mask
+    holding exactly the variables flagged redundant for it, and the receiver
+    view's mask of variables below s_min for every receiver."""
     width = max(variables, default=0) + 1
-    values = [[0.0] * width for _ in receivers]
+    rows = [np.zeros(width) for _ in receivers]
     known = [0] * len(receivers)
     for k, row, flags in zip(variables, true_values, redundant):
         for i, (w, red) in enumerate(zip(row, flags)):
-            values[i][k] = w
+            rows[i][k] = w
             if red:
                 known[i] |= 1 << k
-    return list(variables), values, known, gamma, eps
+    relevance = [RelevanceFunction.from_values(np.zeros(width), S_MIN)]
+    relevance += [RelevanceFunction.from_values(row, S_MIN) for row in rows]
+    view = ReceiverView.of(0, relevance)
+    return mask_of(variables), view.values, known, view.low, gamma, eps
 
 
 def test_redundant_variable_contributes_zero_value():
@@ -105,7 +115,7 @@ def test_efficiency_times_variables_equals_total_value():
 
 def test_awareness_snapshot_ratio():
     acc = MetricsAccumulator(s_min=S_MIN)
-    rel = RelevanceFunction.from_values(np.array([0.6, 0.8, 0.0, 0.0]))
+    rel = RelevanceFunction.from_values(np.array([0.6, 0.8, 0.0, 0.0]), S_MIN)
     acc.record_awareness_snapshot(0b1001, rel)  # knows ids 0 and 3, high {0,1}
     assert acc.finalize() .hrr is None  # no messages yet -> whole record is "no data"
     acc.record_transmission(*_message([], [], [], gamma=1))
@@ -116,7 +126,7 @@ def test_awareness_snapshot_ratio():
 
 def test_vehicle_without_high_class_contributes_no_snapshot():
     acc = MetricsAccumulator(s_min=S_MIN)
-    rel = RelevanceFunction.from_values(np.zeros(4))
+    rel = RelevanceFunction.from_values(np.zeros(4), S_MIN)
     acc.record_awareness_snapshot(0b1111, rel)
     acc.record_transmission(*_message([], [], [], gamma=1))
     assert acc.finalize().hrr is None
@@ -200,3 +210,100 @@ def test_merge_rejects_mismatched_settings():
     with pytest.raises(ValueError):
         MetricsAccumulator(s_min=0.05).merge(
             MetricsAccumulator(s_min=0.05, sv_aggregation="mean"))
+
+
+# --- property checks --------------------------------------------------------
+
+UNIVERSE = 20
+
+
+def _reference_fold(acc, ids, values, known, gamma, eps):
+    """The per-id fold `record_transmission` replaces: every transmitted id,
+    every receiver, redundant values added as 0.0, and the low class read
+    from the value rows against s_min."""
+    acc.messages += 1
+    acc.variables += len(ids)
+    acc.usage_sum += len(ids) / gamma
+    if eps is not None:
+        acc.eps_sum += eps
+        acc.eps_count += 1
+    for k in ids:
+        acc.tx_seen_mask |= 1 << k
+        total = 0.0
+        best = 0.0
+        low = True
+        for row, mask in zip(values, known):
+            w = row[k]
+            s = 0.0 if mask >> k & 1 else w
+            total += s
+            if s > best:
+                best = s
+            if w >= acc.s_min:
+                low = False
+        acc.sv_total += total / len(values) if acc.sv_aggregation == "mean" else best
+        if low:
+            acc.low_count += 1
+
+
+# Values at and around s_min, the two class levels, and arbitrary floats in
+# [0, 1] whose sums round.
+_value = st.one_of(st.sampled_from([0.0, 0.03, S_MIN, 0.5, 1.0]), st.floats(0.0, 1.0))
+_mask = st.integers(0, 2**UNIVERSE - 1)
+
+
+@st.composite
+def _messages(draw):
+    n_recv = draw(st.integers(1, 3))
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows = [draw(st.lists(_value, min_size=UNIVERSE, max_size=UNIVERSE))
+                for _ in range(n_recv)]
+        known = [draw(_mask) for _ in range(n_recv)]
+        sent = draw(_mask)
+        gamma = draw(st.integers(1, UNIVERSE))
+        eps = draw(st.none() | st.floats(0.0, 1.0))
+        out.append((sent, rows, known, gamma, eps))
+    return out
+
+
+def _low_mask(rows):
+    relevance = [RelevanceFunction.from_values(np.zeros(UNIVERSE), S_MIN)]
+    relevance += [RelevanceFunction.from_values(np.array(row), S_MIN) for row in rows]
+    return ReceiverView.of(0, relevance).low
+
+
+@settings(max_examples=200, deadline=None)
+@given(_messages(), st.sampled_from(["max", "mean"]))
+def test_mask_fold_equals_per_id_reference(stream, aggregation):
+    acc = MetricsAccumulator(s_min=S_MIN, sv_aggregation=aggregation)
+    ref = MetricsAccumulator(s_min=S_MIN, sv_aggregation=aggregation)
+    for sent, rows, known, gamma, eps in stream:
+        acc.record_transmission(sent, rows, known, _low_mask(rows), gamma, eps)
+        ids = [k for k in range(UNIVERSE) if sent >> k & 1]
+        _reference_fold(ref, ids, rows, known, gamma, eps)
+    # Exact equality, float totals included: the same additions in the same order.
+    assert dataclasses.astuple(acc) == dataclasses.astuple(ref)
+
+
+def _accumulator(stream):
+    acc = MetricsAccumulator(s_min=S_MIN)
+    for sent, rows, known, gamma, eps in stream:
+        acc.record_transmission(sent, rows, known, _low_mask(rows), gamma, eps)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(_messages(), _messages(), _messages())
+def test_merge_is_associative_and_commutative_property(s1, s2, s3):
+    a, b, c = _accumulator(s1), _accumulator(s2), _accumulator(s3)
+    # Each field is a sum, a count or a union: swapping operands is exact.
+    assert dataclasses.astuple(a.merge(b)) == dataclasses.astuple(b.merge(a))
+    # Regrouping is exact for counts and masks; float sums may differ in
+    # their last bits.
+    left, right = a.merge(b).merge(c), a.merge(b.merge(c))
+    for f in dataclasses.fields(MetricsAccumulator):
+        lv, rv = getattr(left, f.name), getattr(right, f.name)
+        if isinstance(lv, float):
+            assert lv == pytest.approx(rv, rel=1e-12, abs=1e-12)
+        else:
+            assert lv == rv

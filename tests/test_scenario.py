@@ -90,6 +90,22 @@ def test_spawn_vehicles_fields_and_determinism():
     assert [v.position for v in again] == [v.position for v in vehicles]
 
 
+def test_spawn_draws_match_scalar_uniform_draws():
+    # Draw contract: each vehicle's coordinates are the doubles, in the order
+    # and with the stream state, of four scalar `uniform` calls.
+    for cfg in (SceneConfig(vehicle_count=4), SceneConfig(width=0.3, height=1e6)):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(cfg.vehicle_count):
+                xy = [float(rng.uniform(0.0, s)) for s in (cfg.width, cfg.height) * 2]
+                want.append((tuple(xy[:2]), tuple(xy[2:])))
+            got_rng = np.random.default_rng(seed)
+            got = [(v.origin, v.destination) for v in spawn_vehicles(cfg, got_rng)]
+            assert got == want
+            assert got_rng.bit_generator.state == rng.bit_generator.state
+
+
 def test_single_vehicle_scene_rejected():
     with pytest.raises(ValueError):
         spawn_vehicles(SceneConfig(vehicle_count=1), np.random.default_rng(0))

@@ -18,7 +18,7 @@ from relevance_sim import (
     select_rm,
     select_semantic,
 )
-from relevance_sim.schemes import ids_of, mask_of, random_selection_instance
+from relevance_sim.schemes import _random_subset, ids_of, mask_of, random_selection_instance
 
 MODEL = EstimationModel()
 S_MIN = 0.05
@@ -292,3 +292,18 @@ def test_selectors_are_pure_given_stream_state():
     width = _width(local.bit_count())
     assert (select_semantic(local, est, values, gamma, s_min, width, rng_a)
             == select_semantic(local, est, values, gamma, s_min, width, rng_b))
+
+
+def test_shuffled_subset_matches_permutation_prefix():
+    # Draw contract: shuffling the ascending ids keeps the subset, and the
+    # generator state, of indexing them through a permutation prefix.
+    for n in range(1, 111):
+        items = sorted(np.random.default_rng(n).choice(200, size=n, replace=False).tolist())
+        for seed in range(30):
+            size = 1 + (seed * 7 + n) % n
+            rng_shuffle = np.random.default_rng([seed, n])
+            rng_perm = np.random.default_rng([seed, n])
+            got = _random_subset(list(items), size, rng_shuffle)
+            want = sorted(items[i] for i in rng_perm.permutation(n)[:size].tolist())
+            assert got == want
+            assert rng_shuffle.bit_generator.state == rng_perm.bit_generator.state
