@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 from .harness import (
     PRESET_NAMES,
@@ -20,6 +19,7 @@ from .harness import (
     preset,
     resolved_config_lines,
     run_sweep,
+    with_value,
 )
 from .schemes import oracle_mismatch_count
 
@@ -70,27 +70,22 @@ def _load_spec(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     try:
         spec, overridden = _load_spec(args)
         cli_overridden = set()
-        for attr, key, value in (
-            ("master_seed", "run.seed", args.seed),
-            ("replications", "run.replications", args.replications),
-            ("slots_per_episode", "run.slots", args.slots),
-        ):
+        for key, value in (("run.seed", args.seed), ("run.replications", args.replications),
+                           ("run.slots", args.slots)):
             if value is not None:
-                spec = replace(spec, **{attr: value})
+                spec = with_value(spec, key, value)
                 cli_overridden.add(key)
         spec.validate()
+        os.makedirs(args.out, exist_ok=True)
+        started = time.time()
+        rows = run_sweep(spec, progress=progress)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return CONFIG_ERROR
-
-    os.makedirs(args.out, exist_ok=True)
-    progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
-    started = time.time()
-    try:
-        rows = run_sweep(spec, progress=progress)
     except RuntimeError as e:
         cause = f": {e.__cause__!r}" if e.__cause__ is not None else ""
         print(f"run failed: {e}{cause}", file=sys.stderr)

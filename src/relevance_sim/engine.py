@@ -222,7 +222,7 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
     )
     relevance = build_relevance_functions(scenario, config.relevance, rng)
     state = new_sim_state(scenario, relevance, config)
-    acc = MetricsAccumulator(s_min=config.relevance.s_min, sv_aggregation=config.sv_aggregation)
+    acc = MetricsAccumulator(config.sv_aggregation)
     record_tx = acc.record_transmission
     record_hrr = acc.record_awareness_snapshot
     knowledge = state.knowledge

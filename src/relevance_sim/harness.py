@@ -6,7 +6,7 @@ import contextlib
 import functools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -18,9 +18,6 @@ from .relevance import RelevanceParams
 from .scenario import MobilityMode, SceneConfig
 from .schemes import SCHEME_INDEX, EstimationModel, SchemeKind
 
-DEFAULT_MASTER_SEED = 12345
-DEFAULT_REPLICATIONS = 200
-DEFAULT_SLOTS = 400
 DEFAULT_GAMMAS = tuple(range(1, 26))
 
 CSV_COLUMNS = (
@@ -43,19 +40,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    mode: Mode
-    schemes: tuple[SchemeKind, ...]
-    gammas: tuple[int, ...]
-    replications: int
-    slots_per_episode: int
-    master_seed: int
-    scene: SceneConfig
-    relevance: RelevanceParams
-    estimation: EstimationModel
+    schemes: tuple[SchemeKind, ...] = tuple(SchemeKind)
+    gammas: tuple[int, ...] = DEFAULT_GAMMAS
+    replications: int = 200
+    slots_per_episode: int = 400
+    master_seed: int = 12345
+    scene: SceneConfig = SceneConfig()
+    relevance: RelevanceParams = RelevanceParams()
+    estimation: EstimationModel = EstimationModel()
     sv_aggregation: str = "max"
 
+    @property
+    def mode(self) -> Mode:
+        """Derived from the scene, so it cannot disagree with the vehicle count."""
+        return Mode.UNICAST if self.scene.vehicle_count == 2 else Mode.BROADCAST
+
     def validate(self) -> None:
-        for key, value in _resolved_values(self).items():
+        for key, (_, path) in _KEYS.items():
+            value = _get(self, path)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
         if not self.gammas or any(g < 1 for g in self.gammas):
@@ -72,29 +74,12 @@ class ExperimentSpec:
             raise ConfigError("master_seed must be an unsigned 64-bit integer")
         if self.sv_aggregation not in SV_AGGREGATIONS:
             raise ConfigError(f"sv_aggregation must be one of {SV_AGGREGATIONS}")
-        expected = Mode.UNICAST if self.scene.vehicle_count == 2 else Mode.BROADCAST
-        if self.mode is not expected:
-            raise ConfigError("mode must match vehicle_count (2 -> unicast, >2 -> broadcast)")
         try:
             self.scene.validate()
             self.relevance.validate()
             self.estimation.validate()
         except ValueError as e:
             raise ConfigError(str(e)) from e
-
-
-def _default_spec(vehicle_count: int) -> ExperimentSpec:
-    return ExperimentSpec(
-        mode=Mode.UNICAST if vehicle_count == 2 else Mode.BROADCAST,
-        schemes=tuple(SchemeKind),
-        gammas=DEFAULT_GAMMAS,
-        replications=DEFAULT_REPLICATIONS,
-        slots_per_episode=DEFAULT_SLOTS,
-        master_seed=DEFAULT_MASTER_SEED,
-        scene=SceneConfig(vehicle_count=vehicle_count),
-        relevance=RelevanceParams(),
-        estimation=EstimationModel(),
-    )
 
 
 # Figure presets differ only in topology: 5-7 plot the 2-vehicle unicast runs,
@@ -106,7 +91,7 @@ def preset(name: str) -> ExperimentSpec:
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
     vehicle_count = 2 if name in ("fig5", "fig6", "fig7") else 4
-    return _default_spec(vehicle_count)
+    return ExperimentSpec(scene=SceneConfig(vehicle_count=vehicle_count))
 
 
 def derive_rng(master_seed: int, scheme: SchemeKind, gamma: int, replication: int) -> np.random.Generator:
@@ -295,37 +280,59 @@ def _parse_mobility(raw: str) -> MobilityMode:
     return table[raw]
 
 
-# key -> (target section, field, parser)
-_CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
-    "scene.width": ("scene", "width", float),
-    "scene.height": ("scene", "height", float),
-    "scene.object_count": ("scene", "object_count", int),
-    "scene.vehicle_count": ("scene", "vehicle_count", int),
-    "scene.mobility_mode": ("scene", "mobility_mode", _parse_mobility),
-    "scene.vehicle_speed": ("scene", "vehicle_speed", float),
-    "scene.slot_duration": ("scene", "slot_duration", float),
-    "scene.detection_a1": ("scene", "detection_a1", float),
-    "scene.detection_a2": ("scene", "detection_a2", float),
-    "scene.detection_a3": ("scene", "detection_a3", float),
-    "relevance.delta_L": ("relevance", "delta_L", float),
-    "relevance.high_min": ("relevance", "high_min", float),
-    "relevance.high_max": ("relevance", "high_max", float),
-    "relevance.p": ("relevance", "randomization_p", float),
-    "relevance.rho_near": ("relevance", "rho_near", float),
-    "relevance.d_near": ("relevance", "d_near", float),
-    "relevance.d_far": ("relevance", "d_far", float),
-    "relevance.s_min": ("relevance", "s_min", float),
-    "estimation.a4": ("estimation", "a4", float),
-    "estimation.a5": ("estimation", "a5", float),
-    "estimation.a6": ("estimation", "a6", float),
-    "estimation.value_range_width": ("estimation", "value_range_width", float),
-    "run.schemes": ("run", "schemes", _parse_schemes),
-    "run.gammas": ("run", "gammas", _parse_gammas),
-    "run.replications": ("run", "replications", int),
-    "run.slots": ("run", "slots_per_episode", int),
-    "run.seed": ("run", "master_seed", int),
-    "run.sv_aggregation": ("run", "sv_aggregation", str.strip),
+# key -> (parser, path).  The path is the attribute chain inside an
+# ExperimentSpec; a trailing int indexes a tuple field.
+_KEYS: dict[str, tuple[Callable[[str], object], tuple[str | int, ...]]] = {
+    "scene.width": (float, ("scene", "width")),
+    "scene.height": (float, ("scene", "height")),
+    "scene.object_count": (int, ("scene", "object_count")),
+    "scene.vehicle_count": (int, ("scene", "vehicle_count")),
+    "scene.mobility_mode": (_parse_mobility, ("scene", "mobility_mode")),
+    "scene.vehicle_speed": (float, ("scene", "vehicle_speed")),
+    "scene.slot_duration": (float, ("scene", "slot_duration")),
+    "scene.detection_a1": (float, ("scene", "detection_coeffs", 0)),
+    "scene.detection_a2": (float, ("scene", "detection_coeffs", 1)),
+    "scene.detection_a3": (float, ("scene", "detection_coeffs", 2)),
+    "relevance.delta_L": (float, ("relevance", "delta_L")),
+    "relevance.high_min": (float, ("relevance", "high_range", 0)),
+    "relevance.high_max": (float, ("relevance", "high_range", 1)),
+    "relevance.p": (float, ("relevance", "randomization_p")),
+    "relevance.rho_near": (float, ("relevance", "rho_near")),
+    "relevance.d_near": (float, ("relevance", "d_near")),
+    "relevance.d_far": (float, ("relevance", "d_far")),
+    "relevance.s_min": (float, ("relevance", "s_min")),
+    "estimation.a4": (float, ("estimation", "coeffs", 0)),
+    "estimation.a5": (float, ("estimation", "coeffs", 1)),
+    "estimation.a6": (float, ("estimation", "coeffs", 2)),
+    "estimation.value_range_width": (float, ("estimation", "value_range_width")),
+    "run.schemes": (_parse_schemes, ("schemes",)),
+    "run.gammas": (_parse_gammas, ("gammas",)),
+    "run.replications": (int, ("replications",)),
+    "run.slots": (int, ("slots_per_episode",)),
+    "run.seed": (int, ("master_seed",)),
+    "run.sv_aggregation": (str.strip, ("sv_aggregation",)),
 }
+
+
+def _get(obj: object, path: tuple[str | int, ...]) -> object:
+    for step in path:
+        obj = obj[step] if isinstance(step, int) else getattr(obj, step)
+    return obj
+
+
+def _set(obj: object, path: tuple[str | int, ...], value: object) -> object:
+    """A copy of `obj` with the field at `path` set to `value`."""
+    step, rest = path[0], path[1:]
+    if rest:
+        value = _set(_get(obj, (step,)), rest, value)
+    if isinstance(step, int):
+        return obj[:step] + (value,) + obj[step + 1:]
+    return replace(obj, **{step: value})
+
+
+def with_value(spec: ExperimentSpec, key: str, value: object) -> ExperimentSpec:
+    """A copy of `spec` with configuration key `key` set to the parsed `value`."""
+    return _set(spec, _KEYS[key][1], value)
 
 
 def parse_config_with_provenance(text: str) -> tuple[ExperimentSpec, dict[str, str]]:
@@ -334,7 +341,7 @@ def parse_config_with_provenance(text: str) -> tuple[ExperimentSpec, dict[str, s
     Every key the document does not mention keeps its experiment default, so
     callers can echo the full resolved parameter set with provenance.
     """
-    assigned: dict[str, object] = {}
+    spec = ExperimentSpec()
     raw_values: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -343,54 +350,17 @@ def parse_config_with_provenance(text: str) -> tuple[ExperimentSpec, dict[str, s
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {raw_line.strip()!r}")
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in assigned:
+        if key in raw_values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        _, _, parser = _CONFIG_KEYS[key]
+        parser, path = _KEYS[key]
         try:
-            assigned[key] = parser(raw_value)
+            value = parser(raw_value)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
+        spec = _set(spec, path, value)
         raw_values[key] = raw_value
-
-    spec = _default_spec(vehicle_count=int(assigned.get("scene.vehicle_count", 2)))
-    scene, relevance, estimation = spec.scene, spec.relevance, spec.estimation
-
-    det = list(scene.detection_coeffs)
-    for i, key in enumerate(("scene.detection_a1", "scene.detection_a2", "scene.detection_a3")):
-        if key in assigned:
-            det[i] = assigned[key]
-    high = list(relevance.high_range)
-    for i, key in enumerate(("relevance.high_min", "relevance.high_max")):
-        if key in assigned:
-            high[i] = assigned[key]
-
-    def picked(section: str) -> dict[str, object]:
-        out = {}
-        for key, (sec, attr, _) in _CONFIG_KEYS.items():
-            if sec == section and key in assigned and not key.startswith(("scene.detection_", "relevance.high_")):
-                out[attr] = assigned[key]
-        return out
-
-    scene = replace(scene, detection_coeffs=tuple(det), **picked("scene"))
-    relevance = replace(relevance, high_range=tuple(high), **picked("relevance"))
-    est_coeffs = list(estimation.coeffs)
-    for i, key in enumerate(("estimation.a4", "estimation.a5", "estimation.a6")):
-        if key in assigned:
-            est_coeffs[i] = assigned[key]
-    estimation = EstimationModel(
-        coeffs=tuple(est_coeffs),
-        value_range_width=assigned.get("estimation.value_range_width", estimation.value_range_width),
-    )
-    spec = replace(
-        spec,
-        mode=Mode.UNICAST if scene.vehicle_count == 2 else Mode.BROADCAST,
-        scene=scene,
-        relevance=relevance,
-        estimation=estimation,
-        **picked("run"),
-    )
     spec.validate()
     return spec, raw_values
 
@@ -399,38 +369,12 @@ def parse_config(text: str) -> ExperimentSpec:
     return parse_config_with_provenance(text)[0]
 
 
-def _resolved_values(spec: ExperimentSpec) -> dict[str, object]:
-    """Every configuration key with the value `spec` gives it."""
-    return {
-        "scene.width": spec.scene.width,
-        "scene.height": spec.scene.height,
-        "scene.object_count": spec.scene.object_count,
-        "scene.vehicle_count": spec.scene.vehicle_count,
-        "scene.mobility_mode": spec.scene.mobility_mode.value,
-        "scene.vehicle_speed": spec.scene.vehicle_speed,
-        "scene.slot_duration": spec.scene.slot_duration,
-        "scene.detection_a1": spec.scene.detection_coeffs[0],
-        "scene.detection_a2": spec.scene.detection_coeffs[1],
-        "scene.detection_a3": spec.scene.detection_coeffs[2],
-        "relevance.delta_L": spec.relevance.delta_L,
-        "relevance.high_min": spec.relevance.high_range[0],
-        "relevance.high_max": spec.relevance.high_range[1],
-        "relevance.p": spec.relevance.randomization_p,
-        "relevance.rho_near": spec.relevance.rho_near,
-        "relevance.d_near": spec.relevance.d_near,
-        "relevance.d_far": spec.relevance.d_far,
-        "relevance.s_min": spec.relevance.s_min,
-        "estimation.a4": spec.estimation.coeffs[0],
-        "estimation.a5": spec.estimation.coeffs[1],
-        "estimation.a6": spec.estimation.coeffs[2],
-        "estimation.value_range_width": spec.estimation.value_range_width,
-        "run.schemes": ",".join(s.value for s in spec.schemes),
-        "run.gammas": ",".join(str(g) for g in spec.gammas),
-        "run.replications": spec.replications,
-        "run.slots": spec.slots_per_episode,
-        "run.seed": spec.master_seed,
-        "run.sv_aggregation": spec.sv_aggregation,
-    }
+def _show(value: object) -> str:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ",".join(_show(v) for v in value)
+    return str(value)
 
 
 def resolved_config_lines(
@@ -442,12 +386,12 @@ def resolved_config_lines(
     overridden = overridden or {}
     cli_overridden = cli_overridden or set()
     out = []
-    for key, value in _resolved_values(spec).items():
+    for key, (_, path) in _KEYS.items():
         if key in cli_overridden:
             origin = "override"
         elif key in overridden:
             origin = "config"
         else:
             origin = "default"
-        out.append(f"{key} = {value}  # {origin}")
+        out.append(f"{key} = {_show(_get(spec, path))}  # {origin}")
     return out

@@ -38,7 +38,6 @@ class MetricsAccumulator:
     shards of one episode can be processed independently and combined.
     """
 
-    s_min: float
     sv_aggregation: str = "max"
     messages: int = 0
     variables: int = 0
@@ -121,9 +120,9 @@ class MetricsAccumulator:
 
     def merge(self, other: MetricsAccumulator) -> MetricsAccumulator:
         """Combine two shards of the same stream (associative, commutative)."""
-        if other.s_min != self.s_min or other.sv_aggregation != self.sv_aggregation:
+        if other.sv_aggregation != self.sv_aggregation:
             raise ValueError("cannot merge accumulators with different settings")
-        out = MetricsAccumulator(s_min=self.s_min, sv_aggregation=self.sv_aggregation)
+        out = MetricsAccumulator(self.sv_aggregation)
         out.messages = self.messages + other.messages
         out.variables = self.variables + other.variables
         out.sv_total = self.sv_total + other.sv_total

@@ -18,7 +18,6 @@ from .scenario import Scenario
 @dataclass(frozen=True)
 class RelevanceParams:
     delta_L: float = 0.7            # fraction of low-relevance (zero-value) objects
-    low_value: float = 0.0
     high_range: tuple[float, float] = (0.5, 1.0)
     randomization_p: float = 0.5    # chance a vehicle's function is fully independent
     rho_near: float = 0.9
@@ -38,8 +37,6 @@ class RelevanceParams:
         lo, hi = self.high_range
         if not (0.0 < lo <= hi <= 1.0):
             raise ValueError("high_range must be a sub-interval of (0, 1]")
-        if self.low_value != 0.0:
-            raise ValueError("low-relevance class is pinned to value 0")
 
 
 def _mask_of_flags(flags: np.ndarray) -> int:
@@ -111,7 +108,7 @@ def build_relevance_functions(
     lo, hi = params.high_range
     out = []
     for high in class_vectors:
-        values = np.where(high, rng.uniform(lo, hi, k), params.low_value)
+        values = np.where(high, rng.uniform(lo, hi, k), 0.0)
         out.append(RelevanceFunction.from_values(values, params.s_min))
     return out
 

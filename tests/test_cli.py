@@ -106,6 +106,16 @@ def test_failing_episode_exits_4_naming_the_cell(tmp_path, monkeypatch, capsys):
     assert not (out / "results.csv").exists()
 
 
+def test_bad_worker_count_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "abc")
+    out = tmp_path / "o"
+    code = cli.main(["run", "--preset", "fig5", "--out", str(out),
+                     "--replications", "2", "--slots", "20", "--quiet"])
+    assert code == cli.CONFIG_ERROR == 2
+    assert "config error: RELEVANCE_SIM_THREADS must be an integer" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_validate_echoes_resolved_config(tmp_path):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("run.seed = 777\n")

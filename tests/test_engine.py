@@ -1,31 +1,25 @@
 """Communication loop: round-robin turns, expiry, delivery, knowledge updates."""
-import dataclasses
 
 import numpy as np
 import pytest
 
-from relevance_sim import (
-    ConfigError,
+from relevance_sim import SchemeKind
+from relevance_sim.engine import (
     EpisodeConfig,
-    EstimationModel,
-    KnowledgeBase,
-    MobilityMode,
-    Mode,
-    RelevanceParams,
-    SceneConfig,
-    Scenario,
-    SchemeKind,
-    build_relevance_functions,
-    place_objects,
-    preset,
+    new_sim_state,
     run_episode,
     run_episode_accumulator,
     run_slot,
-    run_sweep,
+)
+from relevance_sim.relevance import RelevanceParams, build_relevance_functions
+from relevance_sim.scenario import (
+    MobilityMode,
+    Scenario,
+    SceneConfig,
+    place_objects,
     spawn_vehicles,
 )
-from relevance_sim.engine import new_sim_state
-from relevance_sim.schemes import ids_of
+from relevance_sim.schemes import EstimationModel, ids_of
 
 PARAMS = RelevanceParams()
 
@@ -246,18 +240,6 @@ def test_unconstrained_baseline_sends_whole_local_set():
         acc = run_episode_accumulator(cfg, np.random.default_rng(100 + seed))
         sizes.append(acc.variables / acc.messages)
     assert 13.0 <= float(np.mean(sizes)) <= 17.0
-
-
-def test_mode_topology_mismatch_rejected():
-    # The engine holds no topology mode; a 4-vehicle unicast grid is refused by
-    # the spec, before any episode runs.
-    spec = dataclasses.replace(preset("fig8"), mode=Mode.UNICAST)
-    with pytest.raises(ConfigError):
-        spec.validate()
-    progress = []
-    with pytest.raises(ConfigError):
-        run_sweep(spec, progress=progress.append)
-    assert progress == []
 
 
 def test_constant_velocity_vehicles_move_during_episode():

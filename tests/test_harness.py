@@ -167,10 +167,6 @@ def test_spec_validation_errors():
         _tiny_spec(master_seed=2**64).validate()
     with pytest.raises(ConfigError):
         _tiny_spec(sv_aggregation="median").validate()
-    with pytest.raises(ConfigError):
-        _tiny_spec(mode=Mode.BROADCAST).validate()  # 2 vehicles can't broadcast
-    with pytest.raises(ConfigError):
-        _tiny_spec(vehicle_count=4, mode=Mode.UNICAST).validate()  # 4 can't unicast
 
 
 # --- CSV ------------------------------------------------------------------------
@@ -239,6 +235,64 @@ def test_config_overrides_and_provenance():
     lines = resolved_config_lines(spec, raw)
     assert "scene.vehicle_count = 4  # config" in lines
     assert "scene.width = 800.0  # default" in lines
+
+
+# Every key set to a value unlike its default and unlike every other key's,
+# written the way `resolved_config_lines` echoes it.
+ALL_KEYS = """\
+scene.width = 900.5
+scene.height = 250.25
+scene.object_count = 60
+scene.vehicle_count = 3
+scene.mobility_mode = constant_velocity
+scene.vehicle_speed = 20.5
+scene.slot_duration = 0.2
+scene.detection_a1 = 0.09
+scene.detection_a2 = -0.07
+scene.detection_a3 = 55.0
+relevance.delta_L = 0.6
+relevance.high_min = 0.4
+relevance.high_max = 0.9
+relevance.p = 0.3
+relevance.rho_near = 0.8
+relevance.d_near = 90.0
+relevance.d_far = 350.0
+relevance.s_min = 0.07
+estimation.a4 = 1.5
+estimation.a5 = -0.4
+estimation.a6 = 20.0
+estimation.value_range_width = 1.2
+run.schemes = RM,Semantic
+run.gammas = 2,3,4
+run.replications = 5
+run.slots = 24
+run.seed = 99
+run.sv_aggregation = mean
+"""
+
+
+@pytest.mark.parametrize("spec", [preset("fig5"), preset("fig8"), parse_config(ALL_KEYS)],
+                         ids=["fig5", "fig8", "all-keys"])
+def test_resolved_lines_parse_back_to_the_same_spec(spec):
+    assert parse_config("\n".join(resolved_config_lines(spec))) == spec
+
+
+def test_each_key_reads_the_field_it_writes():
+    spec, raw = parse_config_with_provenance(ALL_KEYS)
+    echoed = [f"{line}  # config" for line in ALL_KEYS.splitlines()]
+    assert resolved_config_lines(spec, raw) == echoed
+    assert spec.scene.detection_coeffs == (0.09, -0.07, 55.0)
+    assert spec.relevance.high_range == (0.4, 0.9)
+    assert spec.estimation.coeffs == (1.5, -0.4, 20.0)
+    assert spec.slots_per_episode == 24 and spec.master_seed == 99
+
+
+def test_mode_follows_vehicle_count():
+    spec = parse_config("scene.vehicle_count = 3\n")
+    assert spec.mode is Mode.BROADCAST
+    assert dataclasses.replace(spec, scene=preset("fig5").scene).mode is Mode.UNICAST
+    with pytest.raises(TypeError):
+        dataclasses.replace(spec, mode=Mode.UNICAST)
 
 
 def test_config_gamma_list_and_scheme_names():

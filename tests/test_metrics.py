@@ -36,7 +36,7 @@ def _message(variables, true_values, redundant, gamma, eps=None, receivers=(1,))
 
 
 def test_redundant_variable_contributes_zero_value():
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     # Two variables to one receiver: 0.7 fresh, 0.6 but already known.
     acc.record_transmission(*_message([3, 4], [(0.7,), (0.6,)], [(False,), (True,)], gamma=5))
     rec = acc.finalize()
@@ -46,7 +46,7 @@ def test_redundant_variable_contributes_zero_value():
 
 
 def test_low_relevance_fraction():
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     values = [(0.5,), (0.8,), (0.02,), (0.6,)]
     red = [(False,)] * 4
     acc.record_transmission(*_message([0, 1, 2, 3], values, red, gamma=4))
@@ -54,7 +54,7 @@ def test_low_relevance_fraction():
 
 
 def test_low_needs_every_receiver_below_threshold():
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     # Below s_min for receiver A but relevant to receiver B: not low.
     acc.record_transmission(*_message([0], [(0.03, 0.5)], [(False, False)],
                                       gamma=1, receivers=(1, 2)))
@@ -65,7 +65,7 @@ def test_low_needs_every_receiver_below_threshold():
 
 
 def test_value_is_best_over_receivers():
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     # Redundant where it was valuable, fresh where it is mediocre.
     acc.record_transmission(*_message([0], [(0.9, 0.4)], [(True, False)],
                                       gamma=1, receivers=(1, 2)))
@@ -73,16 +73,16 @@ def test_value_is_best_over_receivers():
 
 
 def test_mean_aggregation_averages_over_receivers():
-    acc = MetricsAccumulator(s_min=S_MIN, sv_aggregation="mean")
+    acc = MetricsAccumulator(sv_aggregation="mean")
     acc.record_transmission(*_message([0], [(0.7, 0.3)], [(False, False)],
                                       gamma=1, receivers=(1, 2)))
     assert acc.finalize().mean_sv == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        MetricsAccumulator(s_min=S_MIN, sv_aggregation="median")
+        MetricsAccumulator(sv_aggregation="median")
 
 
 def test_empty_message_counts_but_adds_nothing():
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     acc.record_transmission(*_message([], [], [], gamma=5))
     rec = acc.finalize()
     assert rec.messages == 1 and rec.variables == 0
@@ -92,7 +92,7 @@ def test_empty_message_counts_but_adds_nothing():
 
 
 def test_usage_saturates_at_full_budget():
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     for _ in range(5):
         acc.record_transmission(*_message([0, 1, 2], [(0.5,)] * 3, [(False,)] * 3, gamma=3))
     assert acc.finalize().usage == pytest.approx(1.0)
@@ -100,13 +100,13 @@ def test_usage_saturates_at_full_budget():
 
 def test_efficiency_times_variables_equals_total_value():
     rng = np.random.default_rng(21)
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     for message in _random_stream(rng, 60):
         acc.record_transmission(*message)
     rec = acc.finalize()
     assert rec.se * rec.variables == pytest.approx(acc.sv_total, rel=1e-9)
     # 20 variables of value 0.5 each: se is their mean value.
-    flat = MetricsAccumulator(s_min=S_MIN)
+    flat = MetricsAccumulator()
     for _ in range(10):
         flat.record_transmission(*_message([0, 1], [(0.5,), (0.5,)],
                                            [(False,), (False,)], gamma=2))
@@ -114,7 +114,7 @@ def test_efficiency_times_variables_equals_total_value():
 
 
 def test_awareness_snapshot_ratio():
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     rel = RelevanceFunction.from_values(np.array([0.6, 0.8, 0.0, 0.0]), S_MIN)
     acc.record_awareness_snapshot(0b1001, rel)  # knows ids 0 and 3, high {0,1}
     assert acc.finalize() .hrr is None  # no messages yet -> whole record is "no data"
@@ -125,7 +125,7 @@ def test_awareness_snapshot_ratio():
 
 
 def test_vehicle_without_high_class_contributes_no_snapshot():
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     rel = RelevanceFunction.from_values(np.zeros(4), S_MIN)
     acc.record_awareness_snapshot(0b1111, rel)
     acc.record_transmission(*_message([], [], [], gamma=1))
@@ -133,7 +133,7 @@ def test_vehicle_without_high_class_contributes_no_snapshot():
 
 
 def test_mean_eps_only_over_estimating_messages():
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     acc.record_transmission(*_message([0], [(0.5,)], [(False,)], gamma=1, eps=0.4))
     acc.record_transmission(*_message([0], [(0.5,)], [(False,)], gamma=1))
     acc.record_transmission(*_message([0], [(0.5,)], [(False,)], gamma=1, eps=0.2))
@@ -141,7 +141,7 @@ def test_mean_eps_only_over_estimating_messages():
 
 
 def test_transmission_multiplicity():
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     acc.record_transmission(*_message([1, 2], [(0.5,)] * 2, [(False,)] * 2, gamma=2))
     acc.record_transmission(*_message([2, 3], [(0.5,)] * 2, [(False,)] * 2, gamma=2))
     # 4 transmission events over 3 distinct ids.
@@ -149,7 +149,7 @@ def test_transmission_multiplicity():
 
 
 def test_empty_accumulator_reports_no_data():
-    rec = MetricsAccumulator(s_min=S_MIN).finalize()
+    rec = MetricsAccumulator().finalize()
     assert rec.messages == 0
     for name in ("hrr", "mean_sv", "lrr", "usage", "se", "mean_eps", "tx_multiplicity"):
         assert getattr(rec, name) is None
@@ -170,7 +170,7 @@ def _random_stream(rng, n):
 
 
 def _fold(stream):
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     for message in stream:
         acc.record_transmission(*message)
     return acc
@@ -206,10 +206,7 @@ def test_merge_is_commutative_and_associative():
 
 def test_merge_rejects_mismatched_settings():
     with pytest.raises(ValueError):
-        MetricsAccumulator(s_min=0.05).merge(MetricsAccumulator(s_min=0.1))
-    with pytest.raises(ValueError):
-        MetricsAccumulator(s_min=0.05).merge(
-            MetricsAccumulator(s_min=0.05, sv_aggregation="mean"))
+        MetricsAccumulator().merge(MetricsAccumulator(sv_aggregation="mean"))
 
 
 # --- property checks --------------------------------------------------------
@@ -238,7 +235,7 @@ def _reference_fold(acc, ids, values, known, gamma, eps):
             total += s
             if s > best:
                 best = s
-            if w >= acc.s_min:
+            if w >= S_MIN:
                 low = False
         acc.sv_total += total / len(values) if acc.sv_aggregation == "mean" else best
         if low:
@@ -275,8 +272,8 @@ def _low_mask(rows):
 @settings(max_examples=200, deadline=None)
 @given(_messages(), st.sampled_from(["max", "mean"]))
 def test_mask_fold_equals_per_id_reference(stream, aggregation):
-    acc = MetricsAccumulator(s_min=S_MIN, sv_aggregation=aggregation)
-    ref = MetricsAccumulator(s_min=S_MIN, sv_aggregation=aggregation)
+    acc = MetricsAccumulator(sv_aggregation=aggregation)
+    ref = MetricsAccumulator(sv_aggregation=aggregation)
     for sent, rows, known, gamma, eps in stream:
         acc.record_transmission(sent, rows, known, _low_mask(rows), gamma, eps)
         ids = [k for k in range(UNIVERSE) if sent >> k & 1]
@@ -286,7 +283,7 @@ def test_mask_fold_equals_per_id_reference(stream, aggregation):
 
 
 def _accumulator(stream):
-    acc = MetricsAccumulator(s_min=S_MIN)
+    acc = MetricsAccumulator()
     for sent, rows, known, gamma, eps in stream:
         acc.record_transmission(sent, rows, known, _low_mask(rows), gamma, eps)
     return acc

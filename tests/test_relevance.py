@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from relevance_sim import (
+from relevance_sim.relevance import (
     RelevanceParams,
-    SceneConfig,
-    Scenario,
-    VehicleKinematics,
     build_relevance_functions,
     correlation_coefficient,
+)
+from relevance_sim.scenario import (
+    ObjectPoint,
+    Scenario,
+    SceneConfig,
+    VehicleKinematics,
     place_objects,
 )
-from relevance_sim.scenario import ObjectPoint
 from relevance_sim.schemes import ids_of
 
 

@@ -4,20 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from relevance_sim import (
+from relevance_sim.scenario import (
     Fleet,
     MobilityMode,
     ObjectPoint,
-    SceneConfig,
     Scenario,
+    SceneConfig,
     VehicleKinematics,
     advance_mobility,
     detection_probability,
+    detection_probability_vector,
+    object_coordinates,
     place_objects,
     sample_local_set,
     spawn_vehicles,
 )
-from relevance_sim.scenario import detection_probability_vector, object_coordinates
 
 COEFFS = SceneConfig().detection_coeffs
 

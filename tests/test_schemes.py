@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from relevance_sim import (
+from relevance_sim.schemes import (
     EstimationModel,
+    _random_subset,
     estimate_receiver_known,
     estimation_error,
     exhaustive_best_selection,
+    ids_of,
+    mask_of,
     oracle_mismatch_count,
+    random_selection_instance,
     sample_estimated_value,
     select_baseline,
     select_ideal_semantic,
@@ -18,7 +22,6 @@ from relevance_sim import (
     select_rm,
     select_semantic,
 )
-from relevance_sim.schemes import _random_subset, ids_of, mask_of, random_selection_instance
 
 MODEL = EstimationModel()
 S_MIN = 0.05
