@@ -80,7 +80,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 spec = with_value(spec, key, value)
                 cli_overridden.add(key)
         spec.validate()
-        os.makedirs(args.out, exist_ok=True)
         started = time.time()
         rows = run_sweep(spec, progress=progress)
     except ConfigError as e:
@@ -90,6 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cause = f": {e.__cause__!r}" if e.__cause__ is not None else ""
         print(f"run failed: {e}{cause}", file=sys.stderr)
         return RUN_FAILED
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")
     emit_csv(rows, csv_path)
     log_path = os.path.join(args.out, "run.log")

@@ -14,13 +14,17 @@ expires exactly when its sender transmits again, so:
 - the channel estimate of what the receivers know is `OR(sent[s] for s != tx)`;
 - expiry clears `sent[tx]` at the start of tx's own slot.
 
-Geometry is cached per episode in the form the slot loop uses: the (K, 2)
-array of object positions, built once, and each vehicle's detection
-probabilities.  In a constant-velocity episode every slot first moves all
-vehicles one step in place (`advance_mobility` on the episode's `Fleet`) and
+The episode's vehicles are held once, as the `Fleet` that `spawn_vehicles`
+returns; the relevance functions are built from its spawn positions before
+the first slot.  Geometry is cached per episode in the form the slot loop
+uses: the (K, 2) array of object positions, built once, and each vehicle's
+detection probabilities.  In a constant-velocity episode every slot first
+moves all vehicles one step in place (`advance_mobility` on the fleet) and
 then recomputes the transmitter's probabilities; static episodes never
-recompute them.  Each transmitter's `ReceiverView` (its receivers, their
-value rows, and the ids below s_min for all of them) is built once too.
+recompute them.  The detection curve and the mobility mode are read from
+the episode's `SceneConfig`.  Each transmitter's `ReceiverView` (its
+receivers, their value rows, and the ids below s_min for all of them) is
+built once too.
 """
 from __future__ import annotations
 
@@ -29,13 +33,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metrics import MetricsAccumulator, MetricsRecord
+from .metrics import MetricsAccumulator
 from .relevance import RelevanceFunction, RelevanceParams, build_relevance_functions
 from .scenario import (
     Fleet,
     MobilityMode,
+    ObjectPoint,
     SceneConfig,
-    Scenario,
     advance_mobility,
     detection_probability_vector,
     object_coordinates,
@@ -108,13 +112,10 @@ class ReceiverView(NamedTuple):
 
 @dataclass(slots=True)
 class SimState:
-    """One episode in progress. `scenario` is the episode as spawned; the
-    vehicles' current positions live in `fleet`."""
+    """One episode in progress; the vehicles' current positions live in `fleet`."""
 
     slot: int
     config: EpisodeConfig
-    scenario: Scenario
-    relevance: list[RelevanceFunction]
     knowledge: KnowledgeBase
     fleet: Fleet
     # Hot-loop caches: the object positions as one (K, 2) array, each
@@ -127,24 +128,23 @@ class SimState:
 
 
 def new_sim_state(
-    scenario: Scenario, relevance: list[RelevanceFunction], config: EpisodeConfig
+    objects: list[ObjectPoint],
+    fleet: Fleet,
+    relevance: list[RelevanceFunction],
+    config: EpisodeConfig,
 ) -> SimState:
-    n = len(scenario.vehicles)
+    n = len(fleet.positions)
     # Dense object ids double as bit positions and value-vector indices.
-    assert all(o.id == i for i, o in enumerate(scenario.objects))
-    xy = object_coordinates(scenario.objects)
+    assert all(o.id == i for i, o in enumerate(objects))
+    xy = object_coordinates(objects)
+    coeffs = config.scene.detection_coeffs
     return SimState(
         slot=0,
         config=config,
-        scenario=scenario,
-        relevance=relevance,
         knowledge=KnowledgeBase(local=[0] * n, sent=[0] * n),
-        fleet=Fleet.of(scenario),
+        fleet=fleet,
         _xy=xy,
-        _probs=[
-            detection_probability_vector(v.position, xy, v.perception_coeffs)
-            for v in scenario.vehicles
-        ],
+        _probs=[detection_probability_vector(p, xy, coeffs) for p in fleet.positions],
         _views=[ReceiverView.of(tx, relevance) for tx in range(n)],
     )
 
@@ -160,16 +160,16 @@ def run_slot(
     receiver, and the estimation error if the scheme used it, else None.
     """
     t = state.slot
-    vehicles = state.scenario.vehicles
-    n = len(vehicles)
-    tx = t % n
+    config = state.config
     kb = state.knowledge
+    tx = t % len(kb.sent)
     kb.sent[tx] = 0  # one full cycle old: expires before tx sends again
 
-    if state.scenario.config.mobility_mode is MobilityMode.CONSTANT_VELOCITY:
+    scene = config.scene
+    if scene.mobility_mode is MobilityMode.CONSTANT_VELOCITY:
         advance_mobility(state.fleet, 1)
         state._probs[tx] = detection_probability_vector(
-            state.fleet.positions[tx], state._xy, vehicles[tx].perception_coeffs
+            state.fleet.positions[tx], state._xy, scene.detection_coeffs
         )
 
     local = mask_of(sample_hits(state._probs[tx], rng))
@@ -178,7 +178,6 @@ def run_slot(
     receivers, values, low = state._views[tx]
     known = [kb.known_mask(r) for r in receivers]
     est_known = estimate_receiver_known(kb.sent, tx)
-    config = state.config
     scheme, gamma, s_min = config.scheme, config.gamma, config.relevance.s_min
 
     eps = None
@@ -204,7 +203,7 @@ def run_slot(
 
 
 def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> MetricsAccumulator:
-    """Build one scenario, run the slot loop, accumulate metrics.
+    """Build one episode's scene, run the slot loop, accumulate metrics.
 
     The first N slots are warm-up — every vehicle transmits once so estimated
     redundancy and expiry reach steady state — and contribute no samples.
@@ -215,13 +214,10 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
     n = config.scene.vehicle_count
     if config.slots < 2 * n:
         raise ValueError("episode needs at least two full communication cycles")
-    scenario = Scenario(
-        config=config.scene,
-        objects=place_objects(config.scene, rng),
-        vehicles=spawn_vehicles(config.scene, rng),
-    )
-    relevance = build_relevance_functions(scenario, config.relevance, rng)
-    state = new_sim_state(scenario, relevance, config)
+    objects = place_objects(config.scene, rng)
+    fleet = spawn_vehicles(config.scene, rng)
+    relevance = build_relevance_functions(len(objects), fleet.positions, config.relevance, rng)
+    state = new_sim_state(objects, fleet, relevance, config)
     acc = MetricsAccumulator(config.sv_aggregation)
     record_tx = acc.record_transmission
     record_hrr = acc.record_awareness_snapshot
@@ -238,8 +234,3 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
             record_hrr(mask, rel)
         acc.slots_counted += 1
     return acc
-
-
-def run_episode(config: EpisodeConfig, rng: np.random.Generator) -> MetricsRecord:
-    """One independent replication, reduced to its metrics record."""
-    return run_episode_accumulator(config, rng).finalize()

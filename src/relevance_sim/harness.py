@@ -320,19 +320,20 @@ def _get(obj: object, path: tuple[str | int, ...]) -> object:
     return obj
 
 
-def _set(obj: object, path: tuple[str | int, ...], value: object) -> object:
-    """A copy of `obj` with the field at `path` set to `value`."""
-    step, rest = path[0], path[1:]
-    if rest:
-        value = _set(_get(obj, (step,)), rest, value)
-    if isinstance(step, int):
-        return obj[:step] + (value,) + obj[step + 1:]
-    return replace(obj, **{step: value})
+def _set(obj: object, values: dict[tuple[str | int, ...], object]) -> object:
+    """A copy of `obj` with each path in `values` set, copying each part once."""
+    new: dict[str | int, object] = {}
+    for step in dict.fromkeys(path[0] for path in values):
+        sub = {path[1:]: value for path, value in values.items() if path[0] == step}
+        new[step] = sub[()] if () in sub else _set(_get(obj, (step,)), sub)
+    if isinstance(obj, tuple):
+        return tuple(new.get(i, v) for i, v in enumerate(obj))
+    return replace(obj, **new)
 
 
 def with_value(spec: ExperimentSpec, key: str, value: object) -> ExperimentSpec:
     """A copy of `spec` with configuration key `key` set to the parsed `value`."""
-    return _set(spec, _KEYS[key][1], value)
+    return _set(spec, {_KEYS[key][1]: value})
 
 
 def parse_config_with_provenance(text: str) -> tuple[ExperimentSpec, dict[str, str]]:
@@ -341,7 +342,7 @@ def parse_config_with_provenance(text: str) -> tuple[ExperimentSpec, dict[str, s
     Every key the document does not mention keeps its experiment default, so
     callers can echo the full resolved parameter set with provenance.
     """
-    spec = ExperimentSpec()
+    values: dict[tuple[str | int, ...], object] = {}
     raw_values: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -359,8 +360,9 @@ def parse_config_with_provenance(text: str) -> tuple[ExperimentSpec, dict[str, s
             value = parser(raw_value)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
-        spec = _set(spec, path, value)
+        values[path] = value
         raw_values[key] = raw_value
+    spec = _set(ExperimentSpec(), values)
     spec.validate()
     return spec, raw_values
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import Scenario
-
 
 @dataclass(frozen=True)
 class RelevanceParams:
@@ -74,34 +72,35 @@ def correlation_coefficient(distance: float, params: RelevanceParams) -> float:
 
 
 def build_relevance_functions(
-    scenario: Scenario,
+    object_count: int,
+    positions: list[tuple[float, float]],
     params: RelevanceParams,
     rng: np.random.Generator,
 ) -> list[RelevanceFunction]:
     """One relevance function per vehicle, correlated to vehicle 0.
 
-    Vehicle 0 is the reference: its class vector is drawn i.i.d. with
-    P(high) = 1 - delta_L.  Every other vehicle is either fully independent
-    (probability `randomization_p`) or copies the reference class per object
-    with probability rho(distance-to-reference), redrawing with the plain
-    marginal otherwise.  Both branches leave the per-object marginal at
-    1 - delta_L.  High-class values are always fresh uniform draws from
-    `high_range`, so only class membership carries the correlation.
+    `positions` are the vehicles' spawn positions.  Vehicle 0 is the
+    reference: its class vector is drawn i.i.d. with P(high) = 1 - delta_L.
+    Every other vehicle is either fully independent (probability
+    `randomization_p`) or copies the reference class per object with
+    probability rho(distance-to-reference), redrawing with the plain marginal
+    otherwise.  Both branches leave the per-object marginal at 1 - delta_L.
+    High-class values are always fresh uniform draws from `high_range`, so
+    only class membership carries the correlation.
     """
     params.validate()
-    if not scenario.vehicles:
+    if not positions:
         raise ValueError("scenario has no vehicles")
-    k = len(scenario.objects)
+    k = object_count
     p_high = 1.0 - params.delta_L
-    ref = scenario.vehicles[0]
+    ref_x, ref_y = positions[0]
     ref_high = rng.random(k) < p_high
     class_vectors = [ref_high]
-    for v in scenario.vehicles[1:]:
+    for x, y in positions[1:]:
         if rng.random() < params.randomization_p:
             class_vectors.append(rng.random(k) < p_high)
             continue
-        d = math.hypot(v.position[0] - ref.position[0], v.position[1] - ref.position[1])
-        rho = correlation_coefficient(d, params)
+        rho = correlation_coefficient(math.hypot(x - ref_x, y - ref_y), params)
         copy = rng.random(k) < rho
         redraw = rng.random(k) < p_high
         class_vectors.append(np.where(copy, ref_high, redraw))
@@ -111,4 +110,3 @@ def build_relevance_functions(
         values = np.where(high, rng.uniform(lo, hi, k), 0.0)
         out.append(RelevanceFunction.from_values(values, params.s_min))
     return out
-

@@ -1,5 +1,11 @@
 """Driving-scenario generation: object placement, vehicle kinematics, and the
-onboard perception model (distance-dependent detection probability)."""
+onboard perception model (distance-dependent detection probability).
+
+A `Fleet` is the one representation of an episode's vehicles: their current
+positions plus, per vehicle, the origin->destination track it moves along.
+`spawn_vehicles` draws it and `advance_mobility` moves it in place.  The
+detection curve and the mobility mode are read from `SceneConfig` only.
+"""
 from __future__ import annotations
 
 import itertools
@@ -48,29 +54,6 @@ class ObjectPoint(NamedTuple):
     position: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class VehicleKinematics:
-    id: int
-    origin: tuple[float, float]
-    destination: tuple[float, float]
-    position: tuple[float, float]
-    speed: float
-    perception_coeffs: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class Scenario:
-    config: SceneConfig
-    objects: list[ObjectPoint]
-    vehicles: list[VehicleKinematics]
-
-
-def detection_probability(distance: float, coeffs: tuple[float, float, float]) -> float:
-    """Probability that a sensor detects an object `distance` metres away."""
-    a1, a2, a3 = coeffs
-    return 1.0 / (1.0 + a1 * math.exp(-a2 * (distance - a3)))
-
-
 def object_coordinates(objects: list[ObjectPoint]) -> np.ndarray:
     """The (K, 2) float array of object positions, row k for object k."""
     flat = itertools.chain.from_iterable(o.position for o in objects)
@@ -101,36 +84,9 @@ def place_objects(config: SceneConfig, rng: np.random.Generator) -> list[ObjectP
     return list(map(ObjectPoint, range(config.object_count), zip(xs, ys)))
 
 
-def spawn_vehicles(config: SceneConfig, rng: np.random.Generator) -> list[VehicleKinematics]:
-    """Draw origin/destination pairs uniformly; vehicles start at their origin."""
-    config.validate()
-    # uniform(0, s) is s * next_double(), so scaling one 4-double draw gives
-    # the same coordinates, in the order origin x, y, destination x, y, as
-    # four scalar uniform draws.
-    scale = np.array((config.width, config.height, config.width, config.height))
-    out = []
-    for vid in range(config.vehicle_count):
-        while True:
-            ox, oy, dx, dy = (rng.random(4) * scale).tolist()
-            origin, dest = (ox, oy), (dx, dy)
-            if origin != dest:  # zero-length paths have no direction
-                break
-        out.append(
-            VehicleKinematics(
-                id=vid,
-                origin=origin,
-                destination=dest,
-                position=origin,
-                speed=config.vehicle_speed,
-                perception_coeffs=config.detection_coeffs,
-            )
-        )
-    return out
-
-
 @dataclass(slots=True)
 class Fleet:
-    """One episode's vehicle positions, moved in place by `advance_mobility`.
+    """One episode's vehicles, moved in place by `advance_mobility`.
 
     `positions[v]` is vehicle v's current position. `tracks[v]` holds what
     stays constant along its origin->destination segment: origin x and y,
@@ -141,17 +97,26 @@ class Fleet:
     positions: list[tuple[float, float]]
     tracks: list[tuple[float, float, float, float, float, float]]
 
-    @staticmethod
-    def of(scenario: Scenario) -> Fleet:
-        cfg = scenario.config
-        moving = cfg.mobility_mode is MobilityMode.CONSTANT_VELOCITY
-        tracks = []
-        for v in scenario.vehicles:
-            ox, oy = v.origin
-            dx, dy = v.destination[0] - ox, v.destination[1] - oy
-            step = v.speed * cfg.slot_duration if moving else 0.0
-            tracks.append((ox, oy, dx, dy, math.hypot(dx, dy), step))
-        return Fleet(positions=[v.position for v in scenario.vehicles], tracks=tracks)
+
+def spawn_vehicles(config: SceneConfig, rng: np.random.Generator) -> Fleet:
+    """Draw origin/destination pairs uniformly; vehicles start at their origin."""
+    config.validate()
+    # uniform(0, s) is s * next_double(), so scaling one 4-double draw gives
+    # the same coordinates, in the order origin x, y, destination x, y, as
+    # four scalar uniform draws.
+    scale = np.array((config.width, config.height, config.width, config.height))
+    moving = config.mobility_mode is MobilityMode.CONSTANT_VELOCITY
+    step = config.vehicle_speed * config.slot_duration if moving else 0.0
+    positions, tracks = [], []
+    for _ in range(config.vehicle_count):
+        while True:
+            ox, oy, x, y = (rng.random(4) * scale).tolist()
+            if (ox, oy) != (x, y):  # zero-length paths have no direction
+                break
+        dx, dy = x - ox, y - oy
+        positions.append((ox, oy))
+        tracks.append((ox, oy, dx, dy, math.hypot(dx, dy), step))
+    return Fleet(positions, tracks)
 
 
 def advance_mobility(fleet: Fleet, slots: int) -> None:
@@ -180,17 +145,3 @@ def sample_hits(probs: np.ndarray, rng: np.random.Generator) -> list[int]:
     """Independent Bernoulli trial per entry; returns the successful indices."""
     return (rng.random(len(probs)) < probs).nonzero()[0].tolist()
 
-
-def sample_local_set(
-    vehicle: VehicleKinematics,
-    objects: list[ObjectPoint],
-    rng: np.random.Generator,
-) -> set[int]:
-    """One fresh perception snapshot: independent Bernoulli trial per object.
-
-    Snapshots do not accumulate across communication cycles; every call is a
-    new attempt with the per-object detection probability.
-    """
-    xy = object_coordinates(objects)
-    probs = detection_probability_vector(vehicle.position, xy, vehicle.perception_coeffs)
-    return {objects[i].id for i in sample_hits(probs, rng)}

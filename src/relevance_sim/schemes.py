@@ -59,25 +59,6 @@ def estimation_error(known_count: int, model: EstimationModel) -> float:
     return 1.0 / (1.0 + a4 * math.exp(-a5 * (known_count - a6)))
 
 
-def sample_estimated_value(
-    true_w: float,
-    eps: float,
-    model: EstimationModel,
-    rng: np.random.Generator,
-) -> float:
-    """Noisy value estimate: uniform on an interval of width eps * range centred
-    on the true value.
-
-    The interval is deliberately not clamped to the value range, so estimates of
-    a zero-value variable straddle zero and land below the relevance threshold
-    about half the time.  Downstream code only ever compares estimates against
-    s_min, so out-of-range samples are harmless.  With eps = 0 the estimate is
-    exact.
-    """
-    delta = model.value_range_width * eps
-    return true_w + (rng.random() - 0.5) * delta
-
-
 def mask_of(ids: Iterable[int]) -> int:
     """Bitmask over object ids with one bit set per id."""
     mask = 0
@@ -191,8 +172,8 @@ def select_semantic(
     fresh = ids_of(local & ~est_known)
     if not fresh:
         return []
-    # One uniform draw per (variable, receiver) pair, consumed in (k, r) order;
-    # matches repeated sample_estimated_value calls on the same stream.
+    # One uniform draw per (variable, receiver) pair, consumed in (k, r) order.
+    # The interval is deliberately not clamped to the value range.
     u = rng.random(len(fresh) * len(values)).tolist()
     scored = []
     i = 0

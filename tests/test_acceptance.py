@@ -15,25 +15,19 @@ import sys
 import numpy as np
 import pytest
 
+from reference import sample_estimated_value, sample_local_set
 from relevance_sim import SchemeKind, preset, run_sweep
 from relevance_sim.relevance import (
     RelevanceParams,
     build_relevance_functions,
     correlation_coefficient,
 )
-from relevance_sim.scenario import (
-    Scenario,
-    SceneConfig,
-    place_objects,
-    sample_local_set,
-    spawn_vehicles,
-)
+from relevance_sim.scenario import SceneConfig, place_objects, spawn_vehicles
 from relevance_sim.schemes import (
     EstimationModel,
     estimation_error,
     mask_of,
     oracle_mismatch_count,
-    sample_estimated_value,
     select_baseline,
     select_ideal_semantic,
     select_irc,
@@ -83,8 +77,8 @@ def test_criterion_02_mean_snapshot_size(capsys):
     sizes = []
     for _ in range(2000):
         objects = place_objects(cfg, rng)
-        vehicle = spawn_vehicles(cfg, rng)[0]
-        sizes.append(len(sample_local_set(vehicle, objects, rng)))
+        position = spawn_vehicles(cfg, rng).positions[0]
+        sizes.append(len(sample_local_set(position, objects, cfg.detection_coeffs, rng)))
     mean = statistics.fmean(sizes)
     ok = 13.0 <= mean <= 17.0
     _report(capsys, 2, ok, f"mean snapshot size {mean:.2f} in [13, 17] "
@@ -322,8 +316,8 @@ def test_criterion_11_structural_properties(capsys):
     highs = []
     for seed in range(200):
         r = np.random.default_rng(seed)
-        scn = Scenario(cfg, place_objects(cfg, r), spawn_vehicles(cfg, r))
-        rels = build_relevance_functions(scn, params, r)
+        objects, fleet = place_objects(cfg, r), spawn_vehicles(cfg, r)
+        rels = build_relevance_functions(len(objects), fleet.positions, params, r)
         highs.append(rels[0].high_mask.bit_count() / 110)
     margin = 3 * (0.3 * 0.7 / (110 * 200)) ** 0.5
     assert abs(statistics.fmean(highs) - 0.3) < margin

@@ -1,0 +1,63 @@
+"""No public function or class in the package survives only because a test
+imports it.
+
+Every top-level public function or class in `src/relevance_sim/*.py` must be
+referenced by the package's own code outside its definition: read as a name
+(a call, an annotation, a base class) or as an attribute. Imports, comments
+and docstrings do not count. Names the package root exports are the user API
+and exempt. A rule that only the tests need belongs in `tests/reference.py`.
+"""
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "relevance_sim"
+
+
+def unreferenced_definitions(package: pathlib.Path) -> list[str]:
+    """`module:line name` for each public top-level definition in `package`
+    that its code never references outside the definition itself."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    exported = {alias.asname or alias.name
+                for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    references: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append(node)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in exported):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(ref) in own for ref in references.get(node.name, ())):
+                out.append(f"{module}:{node.lineno} {node.name}")
+    return out
+
+
+def test_every_public_definition_is_used_by_the_package():
+    assert unreferenced_definitions(PACKAGE) == []
+
+
+def test_guard_flags_a_definition_only_tests_could_reach(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .core import api\n")
+    (tmp_path / "core.py").write_text(
+        "import math\n"
+        "from .other import helper\n\n\n"
+        "def api():\n    return helper(math.pi)\n\n\n"
+        "class Shape:\n    def area(self) -> 'Shape':\n        return Shape()\n\n\n"
+        "def orphan():\n    \"\"\"Mentions orphan() and Shape in a docstring.\"\"\"\n"
+        "    return orphan  # orphan() again, in a comment\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "from .core import orphan\n\n\n"
+        "def helper(x):\n    return x\n"
+    )
+    # `api` is exported and `helper` is called; `Shape` and `orphan` are only
+    # named inside their own definitions, in strings and comments, or in an
+    # import.
+    assert unreferenced_definitions(tmp_path) == ["core.py:9 Shape", "core.py:14 orphan"]

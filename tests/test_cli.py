@@ -103,7 +103,7 @@ def test_failing_episode_exits_4_naming_the_cell(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "run failed: episode failed: scheme=Baseline gamma=1 replication=0" in err
     assert "injected fault" in err
-    assert not (out / "results.csv").exists()
+    assert not out.exists()  # no empty --out left behind
 
 
 def test_bad_worker_count_exits_2(tmp_path, monkeypatch, capsys):
@@ -113,7 +113,7 @@ def test_bad_worker_count_exits_2(tmp_path, monkeypatch, capsys):
                      "--replications", "2", "--slots", "20", "--quiet"])
     assert code == cli.CONFIG_ERROR == 2
     assert "config error: RELEVANCE_SIM_THREADS must be an integer" in capsys.readouterr().err
-    assert not (out / "results.csv").exists()
+    assert not out.exists()  # no empty --out left behind
 
 
 def test_validate_echoes_resolved_config(tmp_path):

@@ -4,21 +4,9 @@ import numpy as np
 import pytest
 
 from relevance_sim import SchemeKind
-from relevance_sim.engine import (
-    EpisodeConfig,
-    new_sim_state,
-    run_episode,
-    run_episode_accumulator,
-    run_slot,
-)
+from relevance_sim.engine import EpisodeConfig, new_sim_state, run_episode_accumulator, run_slot
 from relevance_sim.relevance import RelevanceParams, build_relevance_functions
-from relevance_sim.scenario import (
-    MobilityMode,
-    Scenario,
-    SceneConfig,
-    place_objects,
-    spawn_vehicles,
-)
+from relevance_sim.scenario import MobilityMode, SceneConfig, place_objects, spawn_vehicles
 from relevance_sim.schemes import EstimationModel, ids_of
 
 PARAMS = RelevanceParams()
@@ -28,13 +16,13 @@ def _fresh_state(seed, scheme=SchemeKind.BASELINE, gamma=10, vehicles=2,
                  relevance_params=PARAMS, mobility=MobilityMode.STATIC_EPISODE):
     rng = np.random.default_rng(seed)
     cfg = SceneConfig(vehicle_count=vehicles, mobility_mode=mobility)
-    scenario = Scenario(cfg, place_objects(cfg, rng), spawn_vehicles(cfg, rng))
-    relevance = build_relevance_functions(scenario, relevance_params, rng)
+    objects, fleet = place_objects(cfg, rng), spawn_vehicles(cfg, rng)
+    relevance = build_relevance_functions(len(objects), fleet.positions, relevance_params, rng)
     config = EpisodeConfig(
         scene=cfg, relevance=relevance_params, estimation=EstimationModel(), scheme=scheme,
         gamma=gamma, slots=400,
     )
-    return new_sim_state(scenario, relevance, config), rng
+    return new_sim_state(objects, fleet, relevance, config), rng, relevance
 
 
 def _receivers(tx, n):
@@ -43,8 +31,8 @@ def _receivers(tx, n):
 
 def test_round_robin_transmitter_order():
     for vehicles in (2, 4):
-        state, rng = _fresh_state(31, vehicles=vehicles)
-        rows = [rel.values for rel in state.relevance]
+        state, rng, rels = _fresh_state(31, vehicles=vehicles)
+        rows = [rel.values for rel in rels]
         for t in range(3 * vehicles):
             before = list(state.knowledge.local)
             _, values, _, _, _ = run_slot(state, rng)
@@ -60,7 +48,7 @@ def test_round_robin_transmitter_order():
 
 def test_expiry_boundary_is_one_full_cycle():
     n = 4
-    state, rng = _fresh_state(30, vehicles=n, gamma=10)
+    state, rng, _ = _fresh_state(30, vehicles=n, gamma=10)
     kb = state.knowledge
     messages = {}
     uncovered = 0
@@ -88,7 +76,7 @@ def test_expiry_boundary_is_one_full_cycle():
 
 
 def test_delivery_is_lossless_and_history_matches():
-    state, rng = _fresh_state(32, vehicles=4, gamma=5)
+    state, rng, _ = _fresh_state(32, vehicles=4, gamma=5)
     kb = state.knowledge
     for t in range(12):
         tx = t % 4
@@ -99,7 +87,7 @@ def test_delivery_is_lossless_and_history_matches():
 
 
 def test_sender_entry_changes_only_on_its_own_slots():
-    state, rng = _fresh_state(33, vehicles=4, gamma=3)
+    state, rng, _ = _fresh_state(33, vehicles=4, gamma=3)
     for t in range(24):
         before = list(state.knowledge.sent)
         run_slot(state, rng)
@@ -110,7 +98,7 @@ def test_sender_entry_changes_only_on_its_own_slots():
 
 def test_budget_and_locality_hold_every_slot():
     for scheme in SchemeKind:
-        state, rng = _fresh_state(34, scheme=scheme, gamma=4, vehicles=2)
+        state, rng, _ = _fresh_state(34, scheme=scheme, gamma=4, vehicles=2)
         for t in range(40):
             sent, _, _, _, _ = run_slot(state, rng)
             assert sent.bit_count() <= 4
@@ -118,7 +106,7 @@ def test_budget_and_locality_hold_every_slot():
 
 
 def test_known_set_is_local_union_valid_entries():
-    state, rng = _fresh_state(35, vehicles=4, gamma=6)
+    state, rng, _ = _fresh_state(35, vehicles=4, gamma=6)
     n = 4
     kb = state.knowledge
     history = {}  # sender -> (message ids, slot)
@@ -134,7 +122,7 @@ def test_known_set_is_local_union_valid_entries():
 
 
 def test_redundancy_flags_match_receiver_state_before_delivery():
-    state, rng = _fresh_state(36, vehicles=2, gamma=8)
+    state, rng, _ = _fresh_state(36, vehicles=2, gamma=8)
     n = 2
     kb = state.knowledge
     for t in range(16):
@@ -156,8 +144,8 @@ def test_receiver_view_and_knowledge_after_delivery():
     # The episode loop reads a receiver's awareness as its known mask before
     # delivery plus the message, and the low class from the receiver view.
     n = 4
-    state, rng = _fresh_state(44, vehicles=n, gamma=5)
-    kb, rels = state.knowledge, state.relevance
+    state, rng, rels = _fresh_state(44, vehicles=n, gamma=5)
+    kb = state.knowledge
     for t in range(12):
         sent, _, known, low, _ = run_slot(state, rng)
         receivers = _receivers(t % n, n)
@@ -169,8 +157,7 @@ def test_receiver_view_and_knowledge_after_delivery():
 
 
 def test_true_values_are_receiver_relevances():
-    state, rng = _fresh_state(37, vehicles=4, gamma=5)
-    rels = state.relevance
+    state, rng, rels = _fresh_state(37, vehicles=4, gamma=5)
     for t in range(8):
         sent, values, _, _, _ = run_slot(state, rng)
         for r, row in zip(_receivers(t % 4, 4), values):
@@ -181,7 +168,7 @@ def test_true_values_are_receiver_relevances():
 def test_eps_reported_only_for_estimating_scheme():
     for scheme, expect in ((SchemeKind.SEMANTIC, True), (SchemeKind.BASELINE, False),
                            (SchemeKind.IDEAL_SEMANTIC, False)):
-        state, rng = _fresh_state(38, scheme=scheme)
+        state, rng, _ = _fresh_state(38, scheme=scheme)
         _, _, _, _, eps = run_slot(state, rng)
         assert (eps is not None) == expect
 
@@ -190,7 +177,7 @@ def test_all_low_relevance_yields_empty_messages():
     # Every object in the low class: the ideal scheme finds nothing worth
     # sending, and the (empty) message replaces the sender's previous one.
     params = RelevanceParams(delta_L=1.0)
-    state, rng = _fresh_state(39, scheme=SchemeKind.IDEAL_SEMANTIC,
+    state, rng, _ = _fresh_state(39, scheme=SchemeKind.IDEAL_SEMANTIC,
                               relevance_params=params)
     for t in range(6):
         sent, _, _, _, _ = run_slot(state, rng)
@@ -202,10 +189,10 @@ def test_episode_is_deterministic():
     cfg = EpisodeConfig(scene=SceneConfig(), relevance=PARAMS,
                         estimation=EstimationModel(), scheme=SchemeKind.SEMANTIC,
                         gamma=7, slots=120)
-    a = run_episode(cfg, np.random.default_rng(40))
-    b = run_episode(cfg, np.random.default_rng(40))
+    a = run_episode_accumulator(cfg, np.random.default_rng(40)).finalize()
+    b = run_episode_accumulator(cfg, np.random.default_rng(40)).finalize()
     assert a == b
-    c = run_episode(cfg, np.random.default_rng(41))
+    c = run_episode_accumulator(cfg, np.random.default_rng(41)).finalize()
     assert a != c  # different stream, different sampled world
 
 
@@ -243,9 +230,9 @@ def test_unconstrained_baseline_sends_whole_local_set():
 
 
 def test_constant_velocity_vehicles_move_during_episode():
-    state, rng = _fresh_state(45, vehicles=2, mobility=MobilityMode.CONSTANT_VELOCITY)
+    state, rng, _ = _fresh_state(45, vehicles=2, mobility=MobilityMode.CONSTANT_VELOCITY)
     start = list(state.fleet.positions)
-    assert start == [v.position for v in state.scenario.vehicles]
+    assert start == [track[:2] for track in state.fleet.tracks]  # each at its origin
     for _ in range(50):
         run_slot(state, rng)
     assert all(a != b for a, b in zip(state.fleet.positions, start))

@@ -9,28 +9,14 @@ from relevance_sim.relevance import (
     build_relevance_functions,
     correlation_coefficient,
 )
-from relevance_sim.scenario import (
-    ObjectPoint,
-    Scenario,
-    SceneConfig,
-    VehicleKinematics,
-    place_objects,
-)
 from relevance_sim.schemes import ids_of
 
+K = 110  # objects per scene
 
-def _two_vehicle_scenario(separation, n_objects=110, rng=None):
-    cfg = SceneConfig(object_count=n_objects, width=1000.0, height=200.0)
-    objs = place_objects(cfg, rng) if rng is not None else [
-        ObjectPoint(k, (0.0, 0.0)) for k in range(n_objects)
-    ]
-    vehicles = []
-    for vid, x in enumerate((0.0, separation)):
-        vehicles.append(VehicleKinematics(
-            id=vid, origin=(x, 0.0), destination=(x + 1.0, 0.0),
-            position=(x, 0.0), speed=0.0, perception_coeffs=cfg.detection_coeffs,
-        ))
-    return Scenario(cfg, objs, vehicles)
+
+def _two_vehicles(separation):
+    # Spawn positions of a reference vehicle and one `separation` metres away.
+    return [(0.0, 0.0), (separation, 0.0)]
 
 
 def test_correlation_reference_points():
@@ -63,11 +49,10 @@ def test_params_validation_rejects_out_of_range():
 
 def test_values_are_zero_or_in_high_range():
     params = RelevanceParams()
-    scenario = _two_vehicle_scenario(50.0)
-    rels = build_relevance_functions(scenario, params, np.random.default_rng(2))
+    rels = build_relevance_functions(K, _two_vehicles(50.0), params, np.random.default_rng(2))
     lo, hi = params.high_range
     for rel in rels:
-        assert len(rel.values) == len(scenario.objects)
+        assert len(rel.values) == K
         for k, w in enumerate(rel.values):
             assert w == 0.0 or lo <= w <= hi
             assert bool(rel.high_mask >> k & 1) == (w > 0.0)
@@ -75,8 +60,7 @@ def test_values_are_zero_or_in_high_range():
 
 def test_all_low_class_when_delta_is_one():
     params = RelevanceParams(delta_L=1.0)
-    scenario = _two_vehicle_scenario(50.0)
-    rels = build_relevance_functions(scenario, params, np.random.default_rng(4))
+    rels = build_relevance_functions(K, _two_vehicles(50.0), params, np.random.default_rng(4))
     for rel in rels:
         assert rel.high_mask == 0
         assert all(w == 0.0 for w in rel.values)
@@ -86,16 +70,14 @@ def test_high_class_marginal_preserved_for_every_vehicle():
     # Both the independent and the correlated-copy branches must leave the
     # per-vehicle chance of a high-class object at 1 - delta_L = 0.3.
     params = RelevanceParams()
-    scenario = _two_vehicle_scenario(150.0)
     rng = np.random.default_rng(8)
     seeds = 300
-    k = len(scenario.objects)
     highs = np.zeros(2)
     for _ in range(seeds):
-        rels = build_relevance_functions(scenario, params, rng)
+        rels = build_relevance_functions(K, _two_vehicles(150.0), params, rng)
         for v in range(2):
             highs[v] += rels[v].high_mask.bit_count()
-    n = seeds * k
+    n = seeds * K
     p_hat = highs / n
     sigma = math.sqrt(0.3 * 0.7 / n)
     for v in range(2):
@@ -106,14 +88,12 @@ def test_high_class_marginal_preserved_for_every_vehicle():
 
 def _class_agreement(separation, params, seeds, seed):
     rng = np.random.default_rng(seed)
-    scenario = _two_vehicle_scenario(separation)
-    k = len(scenario.objects)
     agree = 0
     for _ in range(seeds):
-        rels = build_relevance_functions(scenario, params, rng)
+        rels = build_relevance_functions(K, _two_vehicles(separation), params, rng)
         for a, b in zip(rels[0].values, rels[1].values):
             agree += (a > 0) == (b > 0)
-    return agree / (seeds * k)
+    return agree / (seeds * K)
 
 
 def test_class_agreement_matches_mixture_formula():
@@ -140,9 +120,8 @@ def test_high_values_redrawn_per_vehicle():
     # Correlation acts on class membership only; the value of a shared
     # high-class object is an independent draw for each vehicle.
     params = RelevanceParams(randomization_p=0.0)
-    scenario = _two_vehicle_scenario(10.0)
     rng = np.random.default_rng(13)
-    rels = build_relevance_functions(scenario, params, rng)
+    rels = build_relevance_functions(K, _two_vehicles(10.0), params, rng)
     shared = ids_of(rels[0].high_mask & rels[1].high_mask)
     assert shared  # 10 m apart, rho = 0.9: plenty of shared high ids
     assert any(rels[0].values[k] != rels[1].values[k] for k in shared)
@@ -150,8 +129,7 @@ def test_high_values_redrawn_per_vehicle():
 
 def test_build_is_deterministic():
     params = RelevanceParams()
-    scenario = _two_vehicle_scenario(75.0)
-    a = build_relevance_functions(scenario, params, np.random.default_rng(99))
-    b = build_relevance_functions(scenario, params, np.random.default_rng(99))
+    a = build_relevance_functions(K, _two_vehicles(75.0), params, np.random.default_rng(99))
+    b = build_relevance_functions(K, _two_vehicles(75.0), params, np.random.default_rng(99))
     assert [r.values for r in a] == [r.values for r in b]
 

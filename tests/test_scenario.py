@@ -4,19 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from reference import detection_probability, sample_local_set
 from relevance_sim.scenario import (
     Fleet,
     MobilityMode,
     ObjectPoint,
-    Scenario,
     SceneConfig,
-    VehicleKinematics,
     advance_mobility,
-    detection_probability,
     detection_probability_vector,
     object_coordinates,
     place_objects,
-    sample_local_set,
     spawn_vehicles,
 )
 
@@ -77,18 +74,20 @@ def test_place_objects_uniform_mean_x():
 
 
 def test_spawn_vehicles_fields_and_determinism():
-    cfg = SceneConfig(vehicle_count=4)
-    vehicles = spawn_vehicles(cfg, np.random.default_rng(3))
-    assert [v.id for v in vehicles] == [0, 1, 2, 3]
-    for v in vehicles:
-        assert v.position == v.origin
-        assert v.origin != v.destination
-        assert v.speed == cfg.vehicle_speed
-        assert v.perception_coeffs == cfg.detection_coeffs
-        for pt in (v.origin, v.destination):
-            assert 0.0 <= pt[0] <= cfg.width and 0.0 <= pt[1] <= cfg.height
-    again = spawn_vehicles(cfg, np.random.default_rng(3))
-    assert [v.position for v in again] == [v.position for v in vehicles]
+    for mobility, step in ((MobilityMode.STATIC_EPISODE, 0.0),
+                           (MobilityMode.CONSTANT_VELOCITY, 14.0 * 0.1)):
+        cfg = SceneConfig(vehicle_count=4, mobility_mode=mobility)
+        fleet = spawn_vehicles(cfg, np.random.default_rng(3))
+        assert len(fleet.positions) == len(fleet.tracks) == 4
+        for position, (ox, oy, dx, dy, seg_len, v_step) in zip(fleet.positions, fleet.tracks):
+            assert position == (ox, oy)  # vehicles start at their origin
+            assert (dx, dy) != (0.0, 0.0)
+            assert seg_len == math.hypot(dx, dy)
+            assert v_step == step
+            for x, y in ((ox, oy), (ox + dx, oy + dy)):
+                assert 0.0 <= x <= cfg.width and 0.0 <= y <= cfg.height
+        again = spawn_vehicles(cfg, np.random.default_rng(3))
+        assert again == fleet
 
 
 def test_spawn_draws_match_scalar_uniform_draws():
@@ -99,10 +98,10 @@ def test_spawn_draws_match_scalar_uniform_draws():
             rng = np.random.default_rng(seed)
             want = []
             for _ in range(cfg.vehicle_count):
-                xy = [float(rng.uniform(0.0, s)) for s in (cfg.width, cfg.height) * 2]
-                want.append((tuple(xy[:2]), tuple(xy[2:])))
+                ox, oy, x, y = [float(rng.uniform(0.0, s)) for s in (cfg.width, cfg.height) * 2]
+                want.append((ox, oy, x - ox, y - oy))
             got_rng = np.random.default_rng(seed)
-            got = [(v.origin, v.destination) for v in spawn_vehicles(cfg, got_rng)]
+            got = [track[:4] for track in spawn_vehicles(cfg, got_rng).tracks]
             assert got == want
             assert got_rng.bit_generator.state == rng.bit_generator.state
 
@@ -110,20 +109,6 @@ def test_spawn_draws_match_scalar_uniform_draws():
 def test_single_vehicle_scene_rejected():
     with pytest.raises(ValueError):
         spawn_vehicles(SceneConfig(vehicle_count=1), np.random.default_rng(0))
-
-
-def _centered_scene(n_objects=110, rng=None):
-    cfg = SceneConfig(object_count=n_objects)
-    objs = place_objects(cfg, rng)
-    vehicle = VehicleKinematics(
-        id=0,
-        origin=(cfg.width / 2, cfg.height / 2),
-        destination=(cfg.width, cfg.height / 2),
-        position=(cfg.width / 2, cfg.height / 2),
-        speed=0.0,
-        perception_coeffs=cfg.detection_coeffs,
-    )
-    return cfg, objs, vehicle
 
 
 def _expected_local_size_quadrature(cfg, position):
@@ -140,12 +125,14 @@ def _expected_local_size_quadrature(cfg, position):
 
 def test_local_set_size_matches_quadrature_for_centred_vehicle():
     rng = np.random.default_rng(19)
-    cfg, _, vehicle = _centered_scene(rng=rng)
-    expected = _expected_local_size_quadrature(cfg, vehicle.position)
+    cfg = SceneConfig()
+    place_objects(cfg, rng)  # discarded; keeps this seed's draws for the snapshots below
+    position = (cfg.width / 2, cfg.height / 2)
+    expected = _expected_local_size_quadrature(cfg, position)
     sizes = []
     for _ in range(400):
         objs = place_objects(cfg, rng)
-        sizes.append(len(sample_local_set(vehicle, objs, rng)))
+        sizes.append(len(sample_local_set(position, objs, cfg.detection_coeffs, rng)))
     mean = np.mean(sizes)
     sem = np.std(sizes, ddof=1) / math.sqrt(len(sizes))
     assert abs(mean - expected) < 4 * sem
@@ -153,45 +140,38 @@ def test_local_set_size_matches_quadrature_for_centred_vehicle():
 
 def test_object_at_vehicle_position_nearly_always_detected():
     # One object at distance zero: inclusion frequency ~ P(0) = 0.99934.
-    cfg = SceneConfig(object_count=1)
-    vehicle = VehicleKinematics(
-        id=0, origin=(100.0, 100.0), destination=(0.0, 0.0),
-        position=(100.0, 100.0), speed=0.0, perception_coeffs=cfg.detection_coeffs,
-    )
     objs = [ObjectPoint(0, (100.0, 100.0))]
     rng = np.random.default_rng(23)
-    hits = sum(0 in sample_local_set(vehicle, objs, rng) for _ in range(10_000))
+    hits = sum(0 in sample_local_set((100.0, 100.0), objs, COEFFS, rng) for _ in range(10_000))
     assert hits / 10_000 == pytest.approx(0.99934, abs=0.005)
 
 
 def test_advance_mobility_static_is_identity():
     rng = np.random.default_rng(5)
     cfg = SceneConfig()
-    scenario = Scenario(cfg, place_objects(cfg, rng), spawn_vehicles(cfg, rng))
-    fleet = Fleet.of(scenario)
+    place_objects(cfg, rng)
+    fleet = spawn_vehicles(cfg, rng)
+    start = list(fleet.positions)
     advance_mobility(fleet, 50)
-    assert fleet.positions == [v.position for v in scenario.vehicles]
+    assert fleet.positions == start
+
+
+def _line_fleet():
+    # Two vehicles on (0, 0) -> (100, 0) at 10 m/s * 0.1 s/slot = 1 m per slot along +x.
+    return Fleet([(0.0, 0.0)] * 2, [(0.0, 0.0, 100.0, 0.0, 100.0, 10.0 * 0.1)] * 2)
 
 
 def test_advance_mobility_constant_velocity_moves_and_clamps():
-    cfg = SceneConfig(mobility_mode=MobilityMode.CONSTANT_VELOCITY, vehicle_speed=10.0,
-                      slot_duration=0.1)
-    vehicle = VehicleKinematics(
-        id=0, origin=(0.0, 0.0), destination=(100.0, 0.0),
-        position=(0.0, 0.0), speed=10.0, perception_coeffs=cfg.detection_coeffs,
-    )
-    scenario = Scenario(cfg, [], [vehicle, vehicle])
-    # 10 m/s * 0.1 s/slot = 1 m per slot along +x.
-    jump = Fleet.of(scenario)
+    jump = _line_fleet()
     advance_mobility(jump, 30)
     assert jump.positions[0] == pytest.approx((30.0, 0.0))
     # Stepping slot by slot lands in the same place as one big jump.
-    step = Fleet.of(scenario)
+    step = _line_fleet()
     for _ in range(30):
         advance_mobility(step, 1)
     assert step.positions[0] == pytest.approx((30.0, 0.0))
     # Far beyond the segment end: clamp exactly at the destination, no overshoot.
-    clamped = Fleet.of(scenario)
+    clamped = _line_fleet()
     advance_mobility(clamped, 10_000)
     assert clamped.positions == [(100.0, 0.0), (100.0, 0.0)]
     with pytest.raises(ValueError):
@@ -201,38 +181,32 @@ def test_advance_mobility_constant_velocity_moves_and_clamps():
 def _moving_fleet(seed, speed=100.0):
     cfg = SceneConfig(vehicle_count=4, mobility_mode=MobilityMode.CONSTANT_VELOCITY,
                       vehicle_speed=speed)
-    scenario = Scenario(cfg, [], spawn_vehicles(cfg, np.random.default_rng(seed)))
-    return scenario, Fleet.of(scenario)
+    return spawn_vehicles(cfg, np.random.default_rng(seed))
 
 
 def test_advance_mobility_keeps_vehicles_on_their_segments():
     for seed in range(20):
-        scenario, fleet = _moving_fleet(seed)
+        fleet = _moving_fleet(seed)
         travelled = [0.0] * 4
         for _ in range(100):  # 10 m per slot: most vehicles clamp on the way
             advance_mobility(fleet, 1)
-            for v, (x, y) in zip(scenario.vehicles, fleet.positions):
-                (ox, oy), (tx, ty) = v.origin, v.destination
-                dx, dy = tx - ox, ty - oy
-                seg_len = math.hypot(dx, dy)
+            for v, (x, y) in enumerate(fleet.positions):
+                ox, oy, dx, dy, seg_len, _ = fleet.tracks[v]
                 along = ((x - ox) * dx + (y - oy) * dy) / seg_len
                 assert abs((x - ox) * dy - (y - oy) * dx) / seg_len < 1e-9
                 assert -1e-9 <= along <= seg_len + 1e-9
-                assert along >= travelled[v.id] - 1e-9
-                travelled[v.id] = along
+                assert along >= travelled[v] - 1e-9
+                travelled[v] = along
 
 
 def test_clamped_vehicle_sits_exactly_at_its_segment_end():
     for seed in range(20):
-        scenario, fleet = _moving_fleet(seed)
+        fleet = _moving_fleet(seed)
         advance_mobility(fleet, 83)  # 830 m: longer than the scene diagonal
-        for v, position in zip(scenario.vehicles, fleet.positions):
-            (ox, oy), (tx, ty) = v.origin, v.destination
+        for position, (ox, oy, dx, dy, _, _) in zip(fleet.positions, fleet.tracks):
             # origin + 1.0 * (destination - origin), which is the destination
             # up to the rounding of that sum.
-            end = (ox + (tx - ox), oy + (ty - oy))
-            assert position == end
-            assert position == pytest.approx(v.destination, abs=1e-12)
+            assert position == (ox + dx, oy + dy)
         # Once clamped, further steps stay put.
         before = list(fleet.positions)
         advance_mobility(fleet, 1)
@@ -242,8 +216,8 @@ def test_clamped_vehicle_sits_exactly_at_its_segment_end():
 
 def test_one_long_step_matches_many_short_steps():
     for seed in range(20):
-        _, jump = _moving_fleet(seed, speed=14.0)
-        _, step = _moving_fleet(seed, speed=14.0)
+        jump = _moving_fleet(seed, speed=14.0)
+        step = _moving_fleet(seed, speed=14.0)
         for n in (1, 7, 40, 400):
             advance_mobility(jump, n)
             for _ in range(n):

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import sample_estimated_value
 from relevance_sim.schemes import (
     EstimationModel,
     _random_subset,
@@ -15,7 +18,6 @@ from relevance_sim.schemes import (
     mask_of,
     oracle_mismatch_count,
     random_selection_instance,
-    sample_estimated_value,
     select_baseline,
     select_ideal_semantic,
     select_irc,
@@ -259,29 +261,56 @@ def test_ideal_matches_brute_force_on_random_instances():
 
 # --- cross-cutting properties -------------------------------------------------
 
-def _random_est_known(rng):
-    n = int(rng.integers(0, 12))
-    return _m(rng.choice(30, size=n, replace=False).tolist())
+UNIVERSE = 30
+# Values on a 1/64 grid, so equal scores (and tie-breaks) occur and sums of
+# scores are exact in binary floating point.
+_row = st.lists(st.integers(0, 64), min_size=UNIVERSE, max_size=UNIVERSE).map(
+    lambda row: [i / 64.0 for i in row])
+_mask = st.integers(0, 2**UNIVERSE - 1)
 
 
-def test_every_selector_respects_budget_and_locality():
-    rng = np.random.default_rng(14)
-    for _ in range(300):
-        local, known, values, gamma, s_min = random_selection_instance(rng)
-        est = _random_est_known(rng)
-        outputs = [
-            select_baseline(local, gamma, rng),
-            select_irc(local, est, gamma, rng),
-            select_rm(local, est, gamma, rng),
-            select_semantic(local, est, values, gamma, s_min, _width(local.bit_count()), rng),
-            select_ideal_semantic(local, known, values, gamma, s_min),
-        ]
-        for out in outputs:
-            assert len(out) <= gamma
-            assert _m(out) & ~local == 0
-            assert out == sorted(set(out))
-        # The redundancy-mitigation output shares nothing with the estimate.
-        assert _m(outputs[2]) & est == 0
+@st.composite
+def _instances(draw, max_local=UNIVERSE):
+    """(local, est_known, receivers' known masks, their value rows, gamma, s_min)."""
+    n_receivers = draw(st.integers(1, 3))
+    local = draw(st.sets(st.integers(0, UNIVERSE - 1), max_size=max_local).map(_m))
+    est_known = draw(_mask)
+    known = [draw(_mask) for _ in range(n_receivers)]
+    values = [draw(_row) for _ in range(n_receivers)]
+    gamma = draw(st.integers(1, 8))
+    return local, est_known, known, values, gamma, draw(st.sampled_from([0.0, S_MIN, 0.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_every_selector_respects_budget_and_locality(instance, width, seed):
+    local, est, known, values, gamma, s_min = instance
+    rng = np.random.default_rng(seed)
+    outputs = [
+        select_baseline(local, gamma, rng),
+        select_irc(local, est, gamma, rng),
+        select_rm(local, est, gamma, rng),
+        select_semantic(local, est, values, gamma, s_min, width, rng),
+        select_ideal_semantic(local, known, values, gamma, s_min),
+    ]
+    for out in outputs:
+        assert len(out) <= gamma
+        assert _m(out) & ~local == 0
+        assert out == sorted(set(out))
+    # The redundancy-mitigation output shares nothing with the estimate.
+    assert _m(outputs[2]) & est == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances(max_local=12))
+def test_ideal_equals_exhaustive_search_property(instance):
+    local, _, known, values, gamma, s_min = instance
+    scores = {
+        k: max(0.0 if mask >> k & 1 else row[k] for mask, row in zip(known, values))
+        for k in ids_of(local)
+    }
+    want = sorted(exhaustive_best_selection(scores, gamma, s_min))
+    assert select_ideal_semantic(local, known, values, gamma, s_min) == want
 
 
 def test_selectors_are_pure_given_stream_state():
