@@ -70,6 +70,14 @@ def _load_spec(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # `--out` is made only after the sweep, so refuse first a path that cannot
+    # become a directory: one whose nearest existing part is not a directory.
+    existing = os.path.abspath(args.out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        print(f"error: --out {args.out} is not a directory", file=sys.stderr)
+        return USAGE_ERROR
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     try:
         spec, overridden = _load_spec(args)
@@ -79,7 +87,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if value is not None:
                 spec = with_value(spec, key, value)
                 cli_overridden.add(key)
-        spec.validate()
         started = time.time()
         rows = run_sweep(spec, progress=progress)
     except ConfigError as e:

@@ -20,11 +20,11 @@ the first slot.  Geometry is cached per episode in the form the slot loop
 uses: the (K, 2) array of object positions, built once, and each vehicle's
 detection probabilities.  In a constant-velocity episode every slot first
 moves all vehicles one step in place (`advance_mobility` on the fleet) and
-then recomputes the transmitter's probabilities; static episodes never
-recompute them.  The detection curve and the mobility mode are read from
-the episode's `SceneConfig`.  Each transmitter's `ReceiverView` (its
-receivers, their value rows, and the ids below s_min for all of them) is
-built once too.
+then computes the transmitter's probabilities, which are never needed
+before; static episodes compute them once, before the first slot.  The
+detection curve and the mobility mode are read from the episode's
+`SceneConfig`.  Each transmitter's `ReceiverView` (its receivers, their
+value rows, and the ids below s_min for all of them) is built once too.
 """
 from __future__ import annotations
 
@@ -119,9 +119,8 @@ class SimState:
     knowledge: KnowledgeBase
     fleet: Fleet
     # Hot-loop caches: the object positions as one (K, 2) array, each
-    # vehicle's detection probabilities from its current position (replaced
-    # for the transmitter whenever the vehicles move), and each transmitter's
-    # receiver view.
+    # vehicle's detection probabilities in a static episode (empty in a
+    # moving one), and each transmitter's receiver view.
     _xy: np.ndarray = field(repr=False)
     _probs: list[np.ndarray] = field(repr=False)
     _views: list[ReceiverView] = field(repr=False)
@@ -138,13 +137,16 @@ def new_sim_state(
     assert all(o.id == i for i, o in enumerate(objects))
     xy = object_coordinates(objects)
     coeffs = config.scene.detection_coeffs
+    # A moving vehicle's probabilities are computed in run_slot, before each draw.
+    static = config.scene.mobility_mode is MobilityMode.STATIC_EPISODE
+    probs = [detection_probability_vector(p, xy, coeffs) for p in fleet.positions] if static else []
     return SimState(
         slot=0,
         config=config,
         knowledge=KnowledgeBase(local=[0] * n, sent=[0] * n),
         fleet=fleet,
         _xy=xy,
-        _probs=[detection_probability_vector(p, xy, coeffs) for p in fleet.positions],
+        _probs=probs,
         _views=[ReceiverView.of(tx, relevance) for tx in range(n)],
     )
 
@@ -168,11 +170,13 @@ def run_slot(
     scene = config.scene
     if scene.mobility_mode is MobilityMode.CONSTANT_VELOCITY:
         advance_mobility(state.fleet, 1)
-        state._probs[tx] = detection_probability_vector(
+        probs = detection_probability_vector(
             state.fleet.positions[tx], state._xy, scene.detection_coeffs
         )
+    else:
+        probs = state._probs[tx]
 
-    local = mask_of(sample_hits(state._probs[tx], rng))
+    local = mask_of(sample_hits(probs, rng))
     kb.local[tx] = local
 
     receivers, values, low = state._views[tx]
@@ -212,8 +216,6 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
     snapshots.
     """
     n = config.scene.vehicle_count
-    if config.slots < 2 * n:
-        raise ValueError("episode needs at least two full communication cycles")
     objects = place_objects(config.scene, rng)
     fleet = spawn_vehicles(config.scene, rng)
     relevance = build_relevance_functions(len(objects), fleet.positions, config.relevance, rng)
@@ -232,5 +234,4 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
         after.insert(tx, knowledge.known_mask(tx))
         for mask, rel in zip(after, relevance):
             record_hrr(mask, rel)
-        acc.slots_counted += 1
     return acc

@@ -6,6 +6,7 @@ import contextlib
 import functools
 import math
 import os
+import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
@@ -56,30 +57,18 @@ class ExperimentSpec:
         return Mode.UNICAST if self.scene.vehicle_count == 2 else Mode.BROADCAST
 
     def validate(self) -> None:
+        """The one check of what a run accepts; each error names its key(s).
+
+        `parse_config` and `run_sweep` call it, so nothing downstream checks
+        configuration again.
+        """
         for key, (_, path) in _KEYS.items():
             value = _get(self, path)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
-        if not self.gammas or any(g < 1 for g in self.gammas):
-            raise ConfigError("gammas must be nonempty, each >= 1")
-        if len(set(self.gammas)) != len(self.gammas):
-            raise ConfigError("run.gammas must not repeat a budget")
-        if len(set(self.schemes)) != len(self.schemes):
-            raise ConfigError("run.schemes must not repeat a scheme")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.slots_per_episode < 2 * self.scene.vehicle_count:
-            raise ConfigError("slots_per_episode must cover two communication cycles")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("master_seed must be an unsigned 64-bit integer")
-        if self.sv_aggregation not in SV_AGGREGATIONS:
-            raise ConfigError(f"sv_aggregation must be one of {SV_AGGREGATIONS}")
-        try:
-            self.scene.validate()
-            self.relevance.validate()
-            self.estimation.validate()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        for keys, accepts, rule in _RULES:
+            if not accepts(*(_get(self, _KEYS[key][1]) for key in keys)):
+                raise ConfigError(f"{keys[0]} must {rule}")
 
 
 # Figure presets differ only in topology: 5-7 plot the 2-vehicle unicast runs,
@@ -198,13 +187,15 @@ def run_sweep(
     (mode, scheme order, gamma) regardless of execution order or parallelism.
 
     `progress` gets one line per cell as it finishes, in the serial and in the
-    parallel path alike.
+    parallel path alike, with the finished-cell count and an ETA that assumes
+    the remaining cells finish at the rate the finished ones did.
     """
     spec.validate()
     cells = [(scheme, gamma) for scheme in spec.schemes for gamma in spec.gammas]
     workers = min(_worker_count(), len(cells))
     run_cell = functools.partial(_run_cell, spec)
     rows: list[SweepRow] = []
+    started = time.perf_counter()
     with contextlib.ExitStack() as stack:
         if workers > 1:
             import multiprocessing
@@ -216,9 +207,17 @@ def run_sweep(
         for row in finished:
             rows.append(row)
             if progress is not None:
-                progress(f"{row.scheme.value} gamma={row.gamma} done")
+                done = len(rows)
+                eta = (time.perf_counter() - started) / done * (len(cells) - done)
+                progress(f"{row.scheme.value} gamma={row.gamma} done "
+                         f"({done}/{len(cells)}, ETA {_duration(eta)})")
     rows.sort(key=lambda r: (r.mode.value, SCHEME_INDEX[r.scheme], r.gamma))
     return rows
+
+
+def _duration(seconds: float) -> str:
+    minutes, seconds = divmod(round(seconds), 60)
+    return f"{minutes}m{seconds:02d}s" if minutes else f"{seconds}s"
 
 
 def _fmt(value: float | int | None) -> str:
@@ -312,6 +311,40 @@ _KEYS: dict[str, tuple[Callable[[str], object], tuple[str | int, ...]]] = {
     "run.seed": (int, ("master_seed",)),
     "run.sv_aggregation": (str.strip, ("sv_aggregation",)),
 }
+
+
+# What a run accepts, as (keys, accepts, rule): `accepts` takes the values
+# of `keys` in order, and a spec it refuses fails with "<first key> must
+# <rule>".  A rule that ties two keys names the second one in `rule`.
+_RULES: tuple[tuple[tuple[str, ...], Callable[..., bool], str], ...] = (
+    (("scene.width",), lambda x: x > 0, "be > 0"),
+    (("scene.height",), lambda x: x > 0, "be > 0"),
+    (("scene.object_count",), lambda n: n >= 0, "be >= 0"),
+    (("scene.vehicle_count",), lambda n: n >= 2, "be >= 2 (a transmitter and a receiver)"),
+    (("scene.vehicle_speed",), lambda x: x >= 0, "be >= 0"),
+    (("scene.slot_duration",), lambda x: x > 0, "be > 0"),
+    (("relevance.delta_L",), lambda x: 0 <= x <= 1, "lie in [0, 1]"),
+    (("relevance.high_min",), lambda x: x > 0, "be > 0"),
+    (("relevance.high_max",), lambda x: x <= 1, "be <= 1"),
+    (("relevance.high_min", "relevance.high_max"), lambda lo, hi: lo <= hi,
+     "be <= relevance.high_max"),
+    (("relevance.p",), lambda x: 0 <= x <= 1, "lie in [0, 1]"),
+    (("relevance.rho_near",), lambda x: 0 <= x <= 1, "lie in [0, 1]"),
+    (("relevance.d_near",), lambda x: x > 0, "be > 0"),
+    (("relevance.d_near", "relevance.d_far"), lambda near, far: near < far,
+     "be < relevance.d_far"),
+    (("estimation.value_range_width",), lambda x: x > 0, "be > 0"),
+    (("run.schemes",), bool, "name a scheme"),
+    (("run.schemes",), lambda s: len(set(s)) == len(s), "not repeat a scheme"),
+    (("run.gammas",), lambda g: bool(g) and min(g) >= 1, "be nonempty, each >= 1"),
+    (("run.gammas",), lambda g: len(set(g)) == len(g), "not repeat a budget"),
+    (("run.replications",), lambda n: n >= 1, "be >= 1"),
+    # Two communication cycles: the first one is warm-up.
+    (("run.slots", "scene.vehicle_count"), lambda slots, n: slots >= 2 * n,
+     "be >= 2 * scene.vehicle_count"),
+    (("run.seed",), lambda n: 0 <= n < 2**64, "be an unsigned 64-bit integer"),
+    (("run.sv_aggregation",), lambda a: a in SV_AGGREGATIONS, f"be one of {SV_AGGREGATIONS}"),
+)
 
 
 def _get(obj: object, path: tuple[str | int, ...]) -> object:

@@ -25,9 +25,6 @@ class MetricsRecord:
     se: float | None
     mean_eps: float | None
     tx_multiplicity: float | None
-    messages: int
-    variables: int
-    slots: int
 
 
 @dataclass(slots=True)
@@ -48,7 +45,6 @@ class MetricsAccumulator:
     eps_count: int = 0
     hrr_sum: float = 0.0
     hrr_count: int = 0
-    slots_counted: int = 0
     tx_seen_mask: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
@@ -132,7 +128,6 @@ class MetricsAccumulator:
         out.eps_count = self.eps_count + other.eps_count
         out.hrr_sum = self.hrr_sum + other.hrr_sum
         out.hrr_count = self.hrr_count + other.hrr_count
-        out.slots_counted = self.slots_counted + other.slots_counted
         out.tx_seen_mask = self.tx_seen_mask | other.tx_seen_mask
         return out
 
@@ -140,7 +135,7 @@ class MetricsAccumulator:
         """Reduce the totals to the reported metrics; absent data stays None
         (serialized as empty cells, never fabricated zeros)."""
         if self.messages == 0:
-            return MetricsRecord(None, None, None, None, None, None, None, 0, 0, self.slots_counted)
+            return MetricsRecord(None, None, None, None, None, None, None)
         distinct = self.tx_seen_mask.bit_count()
         return MetricsRecord(
             hrr=self.hrr_sum / self.hrr_count if self.hrr_count else None,
@@ -150,7 +145,4 @@ class MetricsAccumulator:
             se=self.sv_total / self.variables if self.variables else None,
             mean_eps=self.eps_sum / self.eps_count if self.eps_count else None,
             tx_multiplicity=self.variables / distinct if distinct else None,
-            messages=self.messages,
-            variables=self.variables,
-            slots=self.slots_counted,
         )

@@ -23,19 +23,6 @@ class RelevanceParams:
     d_far: float = 400.0
     s_min: float = 0.05
 
-    def validate(self) -> None:
-        if not 0.0 <= self.delta_L <= 1.0:
-            raise ValueError("delta_L must lie in [0, 1]")
-        if not 0.0 <= self.randomization_p <= 1.0:
-            raise ValueError("randomization_p must lie in [0, 1]")
-        if not 0.0 <= self.rho_near <= 1.0:
-            raise ValueError("rho_near must lie in [0, 1]")
-        if not 0.0 < self.d_near < self.d_far:
-            raise ValueError("need 0 < d_near < d_far")
-        lo, hi = self.high_range
-        if not (0.0 < lo <= hi <= 1.0):
-            raise ValueError("high_range must be a sub-interval of (0, 1]")
-
 
 def _mask_of_flags(flags: np.ndarray) -> int:
     # Bit k set where flags[k] is true.
@@ -88,9 +75,6 @@ def build_relevance_functions(
     High-class values are always fresh uniform draws from `high_range`, so
     only class membership carries the correlation.
     """
-    params.validate()
-    if not positions:
-        raise ValueError("scenario has no vehicles")
     k = object_count
     p_high = 1.0 - params.delta_L
     ref_x, ref_y = positions[0]

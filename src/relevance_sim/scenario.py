@@ -36,18 +36,6 @@ class SceneConfig:
     slot_duration: float = 0.1
     detection_coeffs: tuple[float, float, float] = DEFAULT_DETECTION_COEFFS
 
-    def validate(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("scene dimensions must be positive")
-        if self.object_count < 0:
-            raise ValueError("object_count must be >= 0")
-        if self.vehicle_count < 2:
-            raise ValueError("need at least one transmitter and one receiver")
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
-        if self.vehicle_speed < 0:
-            raise ValueError("vehicle_speed must be >= 0")
-
 
 class ObjectPoint(NamedTuple):
     id: int
@@ -78,7 +66,6 @@ def place_objects(config: SceneConfig, rng: np.random.Generator) -> list[ObjectP
     A Poisson point process conditioned on its count is exactly this binomial
     process, so a fixed count and uniform positions are mutually consistent.
     """
-    config.validate()
     xs = rng.uniform(0.0, config.width, config.object_count).tolist()
     ys = rng.uniform(0.0, config.height, config.object_count).tolist()
     return list(map(ObjectPoint, range(config.object_count), zip(xs, ys)))
@@ -100,7 +87,6 @@ class Fleet:
 
 def spawn_vehicles(config: SceneConfig, rng: np.random.Generator) -> Fleet:
     """Draw origin/destination pairs uniformly; vehicles start at their origin."""
-    config.validate()
     # uniform(0, s) is s * next_double(), so scaling one 4-double draw gives
     # the same coordinates, in the order origin x, y, destination x, y, as
     # four scalar uniform draws.

@@ -44,10 +44,6 @@ class EstimationModel:
     coeffs: tuple[float, float, float] = DEFAULT_ESTIMATION_COEFFS
     value_range_width: float = 1.0  # max(w) - min(w) of the nominal value range
 
-    def validate(self) -> None:
-        if self.value_range_width <= 0:
-            raise ValueError("value_range_width must be positive")
-
 
 def estimation_error(known_count: int, model: EstimationModel) -> float:
     """Estimation error of the semantic model given the transmitter's known-set size.

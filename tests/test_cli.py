@@ -116,6 +116,18 @@ def test_bad_worker_count_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()  # no empty --out left behind
 
 
+def test_out_naming_a_file_is_a_usage_error_before_any_cell(tmp_path):
+    taken = tmp_path / "results.txt"
+    taken.write_text("keep me\n")
+    for out in (taken, taken / "sub"):
+        proc = _run("run", "--preset", "fig5", "--out", str(out),
+                    "--replications", "1", "--slots", "4")
+        assert proc.returncode == 1
+        # One line: no traceback, no progress line.
+        assert proc.stderr == f"error: --out {out} is not a directory\n"
+    assert taken.read_text() == "keep me\n"
+
+
 def test_validate_echoes_resolved_config(tmp_path):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("run.seed = 777\n")

@@ -1,5 +1,6 @@
 """Experiment harness: presets, seed derivation, sweeps, CSV, config grammar."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from relevance_sim.harness import (
     parse_config_with_provenance,
     render_csv,
     resolved_config_lines,
+    with_value,
 )
 
 
@@ -129,9 +131,14 @@ def test_parallel_sweep_reports_each_cell_and_matches_serial(monkeypatch):
     lines = []
     rows = run_sweep(spec, progress=lines.append)
     assert render_csv(rows) == serial
-    assert sorted(lines) == sorted(
-        f"{s.value} gamma={g} done" for s in spec.schemes for g in spec.gammas
+    # "<scheme> gamma=<g> done (<i>/<n>, ETA <time>)", counted in finishing order.
+    parsed = [re.fullmatch(r"(.+) done \((\d+)/6, ETA (\d+m\d\ds|\d+s)\)", line)
+              for line in lines]
+    assert all(parsed), lines
+    assert sorted(m[1] for m in parsed) == sorted(
+        f"{s.value} gamma={g}" for s in spec.schemes for g in spec.gammas
     )
+    assert [int(m[2]) for m in parsed] == list(range(1, 7))
 
 
 def test_worker_count_env_validation(monkeypatch):
@@ -155,18 +162,81 @@ def test_monte_carlo_consistency(monkeypatch):
 
 
 def test_spec_validation_errors():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^run\.gammas must"):
         _tiny_spec(gammas=()).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^run\.gammas must"):
         _tiny_spec(gammas=(0,)).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^run\.replications must"):
         _tiny_spec(replications=0).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^run\.slots must"):
         _tiny_spec(slots_per_episode=3).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^run\.seed must"):
         _tiny_spec(master_seed=2**64).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^run\.sv_aggregation must"):
         _tiny_spec(sv_aggregation="median").validate()
+    # The config grammar cannot write an empty list, but the API can.
+    with pytest.raises(ConfigError, match=r"^run\.schemes must name a scheme"):
+        _tiny_spec(schemes=()).validate()
+
+
+# One row per range rule of `ExperimentSpec.validate`: the keys its message
+# names, a rejected setting, and an accepted setting on the boundary.
+RANGE_RULES = [
+    (("scene.width",), {"scene.width": 0.0}, {"scene.width": 1e-9}),
+    (("scene.height",), {"scene.height": 0.0}, {"scene.height": 1e-9}),
+    (("scene.object_count",), {"scene.object_count": -1}, {"scene.object_count": 0}),
+    (("scene.vehicle_count",), {"scene.vehicle_count": 1}, {"scene.vehicle_count": 2}),
+    (("scene.vehicle_speed",), {"scene.vehicle_speed": -1e-9}, {"scene.vehicle_speed": 0.0}),
+    (("scene.slot_duration",), {"scene.slot_duration": 0.0}, {"scene.slot_duration": 1e-9}),
+    (("relevance.delta_L",), {"relevance.delta_L": 1.4}, {"relevance.delta_L": 1.0}),
+    (("relevance.delta_L",), {"relevance.delta_L": -0.1}, {"relevance.delta_L": 0.0}),
+    (("relevance.high_min",), {"relevance.high_min": 0.0}, {"relevance.high_min": 1e-9}),
+    (("relevance.high_max",), {"relevance.high_max": 1.2}, {"relevance.high_max": 1.0}),
+    (("relevance.high_min", "relevance.high_max"),
+     {"relevance.high_min": 0.8, "relevance.high_max": 0.7},
+     {"relevance.high_min": 0.7, "relevance.high_max": 0.7}),
+    (("relevance.p",), {"relevance.p": 1.01}, {"relevance.p": 1.0}),
+    (("relevance.p",), {"relevance.p": -0.01}, {"relevance.p": 0.0}),
+    (("relevance.rho_near",), {"relevance.rho_near": -0.1}, {"relevance.rho_near": 0.0}),
+    (("relevance.rho_near",), {"relevance.rho_near": 1.1}, {"relevance.rho_near": 1.0}),
+    (("relevance.d_near",), {"relevance.d_near": 0.0}, {"relevance.d_near": 1e-9}),
+    (("relevance.d_near", "relevance.d_far"),
+     {"relevance.d_near": 400.0, "relevance.d_far": 100.0},
+     {"relevance.d_near": 400.0, "relevance.d_far": 400.5}),
+    (("relevance.d_near", "relevance.d_far"),
+     {"relevance.d_near": 400.0, "relevance.d_far": 400.0},
+     {"relevance.d_near": 399.5, "relevance.d_far": 400.0}),
+    (("estimation.value_range_width",), {"estimation.value_range_width": 0.0},
+     {"estimation.value_range_width": 1e-9}),
+    (("run.gammas",), {"run.gammas": (0, 3)}, {"run.gammas": (1, 3)}),
+    (("run.replications",), {"run.replications": 0}, {"run.replications": 1}),
+    (("run.slots", "scene.vehicle_count"), {"run.slots": 3}, {"run.slots": 4}),
+    (("run.slots", "scene.vehicle_count"),
+     {"scene.vehicle_count": 4, "run.slots": 7}, {"scene.vehicle_count": 4, "run.slots": 8}),
+    (("run.seed",), {"run.seed": 2**64}, {"run.seed": 2**64 - 1}),
+    (("run.seed",), {"run.seed": -1}, {"run.seed": 0}),
+    (("run.sv_aggregation",), {"run.sv_aggregation": "median"}, {"run.sv_aggregation": "mean"}),
+]
+
+
+def _spec_with(settings):
+    spec = preset("fig5")
+    for key, value in settings.items():
+        spec = with_value(spec, key, value)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "keys, rejected, accepted", RANGE_RULES,
+    ids=[",".join(f"{k}={v}" for k, v in r.items()) for _, r, _ in RANGE_RULES],
+)
+def test_each_range_rule_names_its_keys(keys, rejected, accepted):
+    with pytest.raises(ConfigError) as info:
+        _spec_with(rejected).validate()
+    message = str(info.value)
+    assert message.startswith(f"{keys[0]} must"), message
+    assert all(key in message for key in keys), message
+    _spec_with(accepted).validate()
 
 
 # --- CSV ------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_empty_message_counts_but_adds_nothing():
     acc = MetricsAccumulator()
     acc.record_transmission(*_message([], [], [], gamma=5))
     rec = acc.finalize()
-    assert rec.messages == 1 and rec.variables == 0
+    assert acc.messages == 1 and acc.variables == 0
     assert rec.usage == 0.0
     assert rec.mean_sv == 0.0
     assert rec.lrr is None and rec.se is None  # no variables, no ratio
@@ -104,7 +104,7 @@ def test_efficiency_times_variables_equals_total_value():
     for message in _random_stream(rng, 60):
         acc.record_transmission(*message)
     rec = acc.finalize()
-    assert rec.se * rec.variables == pytest.approx(acc.sv_total, rel=1e-9)
+    assert rec.se * acc.variables == pytest.approx(acc.sv_total, rel=1e-9)
     # 20 variables of value 0.5 each: se is their mean value.
     flat = MetricsAccumulator()
     for _ in range(10):
@@ -150,7 +150,6 @@ def test_transmission_multiplicity():
 
 def test_empty_accumulator_reports_no_data():
     rec = MetricsAccumulator().finalize()
-    assert rec.messages == 0
     for name in ("hrr", "mean_sv", "lrr", "usage", "se", "mean_eps", "tx_multiplicity"):
         assert getattr(rec, name) is None
 
@@ -176,12 +175,14 @@ def _fold(stream):
     return acc
 
 
-def _assert_records_match(a, b):
-    # Counts match exactly; float totals may differ by summation order only.
-    for name in ("messages", "variables", "slots"):
+def _assert_totals_match(a, b):
+    # Two accumulators: counts match exactly; the metrics built from float
+    # totals may differ by summation order only.
+    for name in ("messages", "variables"):
         assert getattr(a, name) == getattr(b, name)
+    ra, rb = a.finalize(), b.finalize()
     for name in ("hrr", "mean_sv", "lrr", "usage", "se", "mean_eps", "tx_multiplicity"):
-        va, vb = getattr(a, name), getattr(b, name)
+        va, vb = getattr(ra, name), getattr(rb, name)
         if va is None:
             assert vb is None
         else:
@@ -191,17 +192,17 @@ def _assert_records_match(a, b):
 def test_merge_equals_concatenated_stream():
     rng = np.random.default_rng(22)
     stream = _random_stream(rng, 80)
-    whole = _fold(stream).finalize()
+    whole = _fold(stream)
     for cut in (0, 1, 40, 79, 80):
-        merged = _fold(stream[:cut]).merge(_fold(stream[cut:])).finalize()
-        _assert_records_match(merged, whole)
+        merged = _fold(stream[:cut]).merge(_fold(stream[cut:]))
+        _assert_totals_match(merged, whole)
 
 
 def test_merge_is_commutative_and_associative():
     rng = np.random.default_rng(23)
     a, b, c = (_fold(_random_stream(rng, 30)) for _ in range(3))
-    _assert_records_match(a.merge(b).finalize(), b.merge(a).finalize())
-    _assert_records_match(a.merge(b).merge(c).finalize(), a.merge(b.merge(c)).finalize())
+    _assert_totals_match(a.merge(b), b.merge(a))
+    _assert_totals_match(a.merge(b).merge(c), a.merge(b.merge(c)))
 
 
 def test_merge_rejects_mismatched_settings():

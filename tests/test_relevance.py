@@ -36,17 +36,6 @@ def test_correlation_monotone_in_distance():
     assert all(a >= b for a, b in zip(rho, rho[1:]))
 
 
-def test_params_validation_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        RelevanceParams(delta_L=1.4).validate()
-    with pytest.raises(ValueError):
-        RelevanceParams(rho_near=-0.1).validate()
-    with pytest.raises(ValueError):
-        RelevanceParams(d_near=400.0, d_far=100.0).validate()
-    with pytest.raises(ValueError):
-        RelevanceParams(high_range=(0.0, 1.2)).validate()
-
-
 def test_values_are_zero_or_in_high_range():
     params = RelevanceParams()
     rels = build_relevance_functions(K, _two_vehicles(50.0), params, np.random.default_rng(2))

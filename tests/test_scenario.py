@@ -106,11 +106,6 @@ def test_spawn_draws_match_scalar_uniform_draws():
             assert got_rng.bit_generator.state == rng.bit_generator.state
 
 
-def test_single_vehicle_scene_rejected():
-    with pytest.raises(ValueError):
-        spawn_vehicles(SceneConfig(vehicle_count=1), np.random.default_rng(0))
-
-
 def _expected_local_size_quadrature(cfg, position):
     # Independent oracle for E[|local set|]: K / (W*H) * integral of P(d) over
     # the rectangle, evaluated by midpoint quadrature on a fine grid.
