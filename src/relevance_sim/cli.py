@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 import time
+from typing import Callable
 
 from .harness import (
     PRESET_NAMES,
@@ -35,6 +36,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(raw: str) -> int:
+        if (value := int(raw)) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="relevance-sim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -53,8 +64,8 @@ def _build_parser() -> _Parser:
     val.add_argument("--config", metavar="FILE", required=True)
 
     orc = sub.add_parser("oracle", help="cross-check ideal selection against brute force")
-    orc.add_argument("--instances", type=int, default=1000)
-    orc.add_argument("--seed", type=int, default=2024)
+    orc.add_argument("--instances", type=_int_at_least(1), default=1000)
+    orc.add_argument("--seed", type=_int_at_least(0), default=2024)
     return parser
 
 

@@ -7,25 +7,19 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .engine import EpisodeConfig, run_episode_accumulator
-from .metrics import SV_AGGREGATIONS, MetricsRecord
+from .metrics import SV_AGGREGATIONS, MetricsAccumulator, MetricsRecord
 from .relevance import RelevanceParams
 from .scenario import MobilityMode, SceneConfig
 from .schemes import SCHEME_INDEX, EstimationModel, SchemeKind
 
 DEFAULT_GAMMAS = tuple(range(1, 26))
-
-CSV_COLUMNS = (
-    "mode", "scheme", "gamma", "replications",
-    "hrr", "hrr_ci", "mean_sv", "mean_sv_ci", "lrr", "lrr_ci",
-    "usage", "usage_ci", "se", "se_ci", "mean_eps", "tx_multiplicity",
-)
 
 
 class Mode(Enum):
@@ -91,6 +85,8 @@ def derive_rng(master_seed: int, scheme: SchemeKind, gamma: int, replication: in
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (scheme, gamma) cell; the fields, in order, are the CSV columns."""
+
     mode: Mode
     scheme: SchemeKind
     gamma: int
@@ -107,6 +103,11 @@ class SweepRow:
     se_ci: float | None
     mean_eps: float | None
     tx_multiplicity: float | None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+# Metrics reported with a `<metric>_ci` column over the per-replication values.
+CI_METRICS = ("hrr", "mean_sv", "lrr", "usage", "se")
 
 
 def _ci_half_width(values: list[float]) -> float | None:
@@ -129,7 +130,7 @@ def _run_cell(spec: ExperimentSpec, cell: tuple[SchemeKind, int]) -> SweepRow:
         slots=spec.slots_per_episode,
         sv_aggregation=spec.sv_aggregation,
     )
-    merged = None
+    merged = MetricsAccumulator(spec.sv_aggregation)
     per_rep: list[MetricsRecord] = []
     for rep in range(spec.replications):
         try:
@@ -139,33 +140,18 @@ def _run_cell(spec: ExperimentSpec, cell: tuple[SchemeKind, int]) -> SweepRow:
                 f"episode failed: scheme={scheme.value} gamma={gamma} replication={rep}"
             ) from e
         per_rep.append(acc.finalize())
-        merged = acc if merged is None else merged.merge(acc)
-    assert merged is not None
-    pooled = merged.finalize()
-
-    def ci(metric: str) -> float | None:
-        vals = [getattr(r, metric) for r in per_rep if getattr(r, metric) is not None]
-        return _ci_half_width(vals)
-
+        merged = merged.merge(acc)
+    columns = asdict(merged.finalize())
+    for metric in CI_METRICS:
+        columns[f"{metric}_ci"] = _ci_half_width(
+            [getattr(r, metric) for r in per_rep if getattr(r, metric) is not None])
     # Distinct-variable counts are only meaningful within one scenario, so the
     # per-variable transmission multiplicity averages per-episode values
     # instead of reading the cross-episode merge.
     mult = [r.tx_multiplicity for r in per_rep if r.tx_multiplicity is not None]
-    tx_multiplicity = sum(mult) / len(mult) if mult else None
-
-    return SweepRow(
-        mode=spec.mode,
-        scheme=scheme,
-        gamma=gamma,
-        replications=spec.replications,
-        hrr=pooled.hrr, hrr_ci=ci("hrr"),
-        mean_sv=pooled.mean_sv, mean_sv_ci=ci("mean_sv"),
-        lrr=pooled.lrr, lrr_ci=ci("lrr"),
-        usage=pooled.usage, usage_ci=ci("usage"),
-        se=pooled.se, se_ci=ci("se"),
-        mean_eps=pooled.mean_eps,
-        tx_multiplicity=tx_multiplicity,
-    )
+    columns["tx_multiplicity"] = sum(mult) / len(mult) if mult else None
+    return SweepRow(mode=spec.mode, scheme=scheme, gamma=gamma,
+                    replications=spec.replications, **columns)
 
 
 def _worker_count() -> int:
@@ -220,9 +206,11 @@ def _duration(seconds: float) -> str:
     return f"{minutes}m{seconds:02d}s" if minutes else f"{seconds}s"
 
 
-def _fmt(value: float | int | None) -> str:
+def _fmt(value: object) -> str:
     if value is None:
         return ""
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, int):
         return str(value)
     return format(value, ".6g")
@@ -231,12 +219,7 @@ def _fmt(value: float | int | None) -> str:
 def render_csv(rows: list[SweepRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        lines.append(",".join([
-            r.mode.value, r.scheme.value, str(r.gamma), str(r.replications),
-            _fmt(r.hrr), _fmt(r.hrr_ci), _fmt(r.mean_sv), _fmt(r.mean_sv_ci),
-            _fmt(r.lrr), _fmt(r.lrr_ci), _fmt(r.usage), _fmt(r.usage_ci),
-            _fmt(r.se), _fmt(r.se_ci), _fmt(r.mean_eps), _fmt(r.tx_multiplicity),
-        ]))
+        lines.append(",".join(_fmt(getattr(r, column)) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -323,6 +306,7 @@ _RULES: tuple[tuple[tuple[str, ...], Callable[..., bool], str], ...] = (
     (("scene.vehicle_count",), lambda n: n >= 2, "be >= 2 (a transmitter and a receiver)"),
     (("scene.vehicle_speed",), lambda x: x >= 0, "be >= 0"),
     (("scene.slot_duration",), lambda x: x > 0, "be > 0"),
+    (("scene.detection_a1",), lambda x: x >= 0, "be >= 0"),
     (("relevance.delta_L",), lambda x: 0 <= x <= 1, "lie in [0, 1]"),
     (("relevance.high_min",), lambda x: x > 0, "be > 0"),
     (("relevance.high_max",), lambda x: x <= 1, "be <= 1"),
@@ -333,6 +317,7 @@ _RULES: tuple[tuple[tuple[str, ...], Callable[..., bool], str], ...] = (
     (("relevance.d_near",), lambda x: x > 0, "be > 0"),
     (("relevance.d_near", "relevance.d_far"), lambda near, far: near < far,
      "be < relevance.d_far"),
+    (("estimation.a4",), lambda x: x >= 0, "be >= 0"),
     (("estimation.value_range_width",), lambda x: x > 0, "be > 0"),
     (("run.schemes",), bool, "name a scheme"),
     (("run.schemes",), lambda s: len(set(s)) == len(s), "not repeat a scheme"),

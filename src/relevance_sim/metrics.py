@@ -8,7 +8,7 @@ error and the per-variable transmission multiplicity.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .relevance import RelevanceFunction
 from .schemes import ids_of
@@ -115,27 +115,22 @@ class MetricsAccumulator:
         self.hrr_count += 1
 
     def merge(self, other: MetricsAccumulator) -> MetricsAccumulator:
-        """Combine two shards of the same stream (associative, commutative)."""
+        """Combine two shards of the same stream (associative, commutative):
+        the mask of distinct ids is a union, every other total a sum."""
         if other.sv_aggregation != self.sv_aggregation:
             raise ValueError("cannot merge accumulators with different settings")
         out = MetricsAccumulator(self.sv_aggregation)
-        out.messages = self.messages + other.messages
-        out.variables = self.variables + other.variables
-        out.sv_total = self.sv_total + other.sv_total
-        out.low_count = self.low_count + other.low_count
-        out.usage_sum = self.usage_sum + other.usage_sum
-        out.eps_sum = self.eps_sum + other.eps_sum
-        out.eps_count = self.eps_count + other.eps_count
-        out.hrr_sum = self.hrr_sum + other.hrr_sum
-        out.hrr_count = self.hrr_count + other.hrr_count
-        out.tx_seen_mask = self.tx_seen_mask | other.tx_seen_mask
+        for f in fields(self):
+            if f.name != "sv_aggregation":
+                a, b = getattr(self, f.name), getattr(other, f.name)
+                setattr(out, f.name, a | b if f.name == "tx_seen_mask" else a + b)
         return out
 
     def finalize(self) -> MetricsRecord:
         """Reduce the totals to the reported metrics; absent data stays None
         (serialized as empty cells, never fabricated zeros)."""
         if self.messages == 0:
-            return MetricsRecord(None, None, None, None, None, None, None)
+            return MetricsRecord(**{f.name: None for f in fields(MetricsRecord)})
         distinct = self.tx_seen_mask.bit_count()
         return MetricsRecord(
             hrr=self.hrr_sum / self.hrr_count if self.hrr_count else None,

@@ -50,9 +50,16 @@ def estimation_error(known_count: int, model: EstimationModel) -> float:
 
     Strictly decreasing in `known_count` for the default coefficients: the more
     context a vehicle has gathered, the better it guesses others' relevance.
+    A steep curve saturates at its limit where the exponential overflows:
+    0.0 for a4 > 0, and 1.0 everywhere for a4 = 0.
     """
     a4, a5, a6 = model.coeffs
-    return 1.0 / (1.0 + a4 * math.exp(-a5 * (known_count - a6)))
+    if a4 == 0:
+        return 1.0
+    try:
+        return 1.0 / (1.0 + a4 * math.exp(-a5 * (known_count - a6)))
+    except OverflowError:
+        return 0.0
 
 
 def mask_of(ids: Iterable[int]) -> int:

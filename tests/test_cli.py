@@ -67,6 +67,16 @@ def test_usage_errors_exit_1(tmp_path):
                 "--out", str(tmp_path)).returncode == 1  # mutually exclusive
 
 
+def test_oracle_bad_arguments_are_usage_errors():
+    for args in (("--instances", "-5"), ("--instances", "0"), ("--seed", "-1")):
+        proc = _run("oracle", *args)
+        assert proc.returncode == 1, proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith(
+            f"relevance-sim oracle: error: argument {args[0]}: must be >= ")
+        assert proc.stdout == ""
+
+
 def test_config_errors_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("relevance.delta_L = 1.4\n")
@@ -76,6 +86,22 @@ def test_config_errors_exit_2(tmp_path):
     missing = _run("run", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o2"))
     assert missing.returncode == 2
+
+
+def test_steep_estimation_curve_runs(tmp_path):
+    # exp(-a5 * (c - a6)) overflows for every count below a6 = 26.
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("estimation.a5 = 1000\nrun.replications = 2\nrun.slots = 20\n"
+                   "run.gammas = 1,3\n")
+    out = tmp_path / "o"
+    proc = _run("run", "--config", str(cfg), "--out", str(out), "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    lines = (out / "results.csv").read_text().splitlines()
+    assert len(lines) == 1 + 5 * 2
+    semantic = [line.split(",") for line in lines if line.split(",")[1] == "Semantic"]
+    mean_eps = lines[0].split(",").index("mean_eps")
+    assert len(semantic) == 2
+    assert all(0.0 <= float(row[mean_eps]) <= 1.0 for row in semantic)
 
 
 def test_non_finite_config_exits_2_before_running(tmp_path):

@@ -188,6 +188,7 @@ RANGE_RULES = [
     (("scene.vehicle_count",), {"scene.vehicle_count": 1}, {"scene.vehicle_count": 2}),
     (("scene.vehicle_speed",), {"scene.vehicle_speed": -1e-9}, {"scene.vehicle_speed": 0.0}),
     (("scene.slot_duration",), {"scene.slot_duration": 0.0}, {"scene.slot_duration": 1e-9}),
+    (("scene.detection_a1",), {"scene.detection_a1": -1.0}, {"scene.detection_a1": 0.0}),
     (("relevance.delta_L",), {"relevance.delta_L": 1.4}, {"relevance.delta_L": 1.0}),
     (("relevance.delta_L",), {"relevance.delta_L": -0.1}, {"relevance.delta_L": 0.0}),
     (("relevance.high_min",), {"relevance.high_min": 0.0}, {"relevance.high_min": 1e-9}),
@@ -206,6 +207,7 @@ RANGE_RULES = [
     (("relevance.d_near", "relevance.d_far"),
      {"relevance.d_near": 400.0, "relevance.d_far": 400.0},
      {"relevance.d_near": 399.5, "relevance.d_far": 400.0}),
+    (("estimation.a4",), {"estimation.a4": -1.0}, {"estimation.a4": 0.0}),
     (("estimation.value_range_width",), {"estimation.value_range_width": 0.0},
      {"estimation.value_range_width": 1e-9}),
     (("run.gammas",), {"run.gammas": (0, 3)}, {"run.gammas": (1, 3)}),

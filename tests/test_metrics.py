@@ -168,10 +168,21 @@ def _random_stream(rng, n):
     return out
 
 
-def _fold(stream):
+def _random_snapshots(rng, n):
+    # Awareness samples over 25 objects, each high with probability 1/2.
+    out = []
+    for _ in range(n):
+        values = np.where(rng.random(25) < 0.5, rng.uniform(0.1, 1.0, 25), 0.0)
+        out.append((int(rng.integers(0, 2**25)), RelevanceFunction.from_values(values, S_MIN)))
+    return out
+
+
+def _fold(stream, snapshots=()):
     acc = MetricsAccumulator()
     for message in stream:
         acc.record_transmission(*message)
+    for known, rel in snapshots:
+        acc.record_awareness_snapshot(known, rel)
     return acc
 
 
@@ -192,10 +203,19 @@ def _assert_totals_match(a, b):
 def test_merge_equals_concatenated_stream():
     rng = np.random.default_rng(22)
     stream = _random_stream(rng, 80)
-    whole = _fold(stream)
+    snapshots = _random_snapshots(rng, 80)
+    whole = _fold(stream, snapshots)
     for cut in (0, 1, 40, 79, 80):
-        merged = _fold(stream[:cut]).merge(_fold(stream[cut:]))
+        merged = _fold(stream[:cut], snapshots[:cut]).merge(
+            _fold(stream[cut:], snapshots[cut:]))
         _assert_totals_match(merged, whole)
+        # Every total, so a field that `merge` drops or mis-combines fails here.
+        for f in dataclasses.fields(MetricsAccumulator):
+            got, want = getattr(merged, f.name), getattr(whole, f.name)
+            if isinstance(want, float):
+                assert got == pytest.approx(want, rel=1e-12), f.name
+            else:
+                assert got == want, f.name
 
 
 def test_merge_is_commutative_and_associative():
