@@ -14,6 +14,7 @@ from typing import Callable
 
 from .harness import (
     PRESET_NAMES,
+    SEED_CONTRACT,
     ConfigError,
     emit_csv,
     parse_config_with_provenance,
@@ -112,7 +113,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     emit_csv(rows, csv_path)
     log_path = os.path.join(args.out, "run.log")
     with open(log_path, "w", encoding="utf-8") as f:
-        f.write(f"source = {args.preset or args.config}\n")
+        f.write(f"source = {args.preset or args.config}\nseed_contract = {SEED_CONTRACT}\n")
         f.write("\n".join(resolved_config_lines(spec, overridden, cli_overridden)) + "\n")
         f.write(f"rows = {len(rows)}\nelapsed_seconds = {time.time() - started:.1f}\n")
     if not args.quiet:
@@ -126,6 +127,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return CONFIG_ERROR
+    print(f"# seed_contract = {SEED_CONTRACT}")
     print("\n".join(resolved_config_lines(spec, overridden)))
     return 0
 

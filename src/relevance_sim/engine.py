@@ -22,24 +22,23 @@ detection probabilities.  In a constant-velocity episode every slot first
 moves all vehicles one step in place (`advance_mobility` on the fleet) and
 then computes the transmitter's probabilities, which are never needed
 before; static episodes compute them once, before the first slot.  The
-detection curve and the mobility mode are read from the episode's
+detection curve and the mobility mode are read from the run's
 `SceneConfig`.  Each transmitter's `ReceiverView` (its receivers, their
 value rows, and the ids below s_min for all of them) is built once too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .metrics import MetricsAccumulator
-from .relevance import RelevanceFunction, RelevanceParams, build_relevance_functions
+from .relevance import RelevanceFunction, build_relevance_functions
 from .scenario import (
     Fleet,
     MobilityMode,
     ObjectPoint,
-    SceneConfig,
     advance_mobility,
     detection_probability_vector,
     object_coordinates,
@@ -48,7 +47,6 @@ from .scenario import (
     spawn_vehicles,
 )
 from .schemes import (
-    EstimationModel,
     SchemeKind,
     estimate_receiver_known,
     estimation_error,
@@ -59,6 +57,9 @@ from .schemes import (
     select_rm,
     select_semantic,
 )
+
+if TYPE_CHECKING:
+    from .harness import ExperimentSpec
 
 
 @dataclass(slots=True)
@@ -83,13 +84,11 @@ class KnowledgeBase:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    scene: SceneConfig
-    relevance: RelevanceParams
-    estimation: EstimationModel
+    """One (scheme, gamma) cell of a run; every other setting is read from `spec`."""
+
+    spec: ExperimentSpec
     scheme: SchemeKind
     gamma: int
-    slots: int
-    sv_aggregation: str = "max"
 
 
 class ReceiverView(NamedTuple):
@@ -136,9 +135,10 @@ def new_sim_state(
     # Dense object ids double as bit positions and value-vector indices.
     assert all(o.id == i for i, o in enumerate(objects))
     xy = object_coordinates(objects)
-    coeffs = config.scene.detection_coeffs
+    scene = config.spec.scene
+    coeffs = scene.detection_coeffs
     # A moving vehicle's probabilities are computed in run_slot, before each draw.
-    static = config.scene.mobility_mode is MobilityMode.STATIC_EPISODE
+    static = scene.mobility_mode is MobilityMode.STATIC_EPISODE
     probs = [detection_probability_vector(p, xy, coeffs) for p in fleet.positions] if static else []
     return SimState(
         slot=0,
@@ -167,7 +167,8 @@ def run_slot(
     tx = t % len(kb.sent)
     kb.sent[tx] = 0  # one full cycle old: expires before tx sends again
 
-    scene = config.scene
+    spec = config.spec
+    scene = spec.scene
     if scene.mobility_mode is MobilityMode.CONSTANT_VELOCITY:
         advance_mobility(state.fleet, 1)
         probs = detection_probability_vector(
@@ -182,7 +183,7 @@ def run_slot(
     receivers, values, low = state._views[tx]
     known = [kb.known_mask(r) for r in receivers]
     est_known = estimate_receiver_known(kb.sent, tx)
-    scheme, gamma, s_min = config.scheme, config.gamma, config.relevance.s_min
+    scheme, gamma, s_min = config.scheme, config.gamma, spec.relevance.s_min
 
     eps = None
     if scheme is SchemeKind.BASELINE:
@@ -193,8 +194,8 @@ def run_slot(
         selected = select_rm(local, est_known, gamma, rng)
     elif scheme is SchemeKind.SEMANTIC:
         # tx's known mask: its snapshot plus every other sender's valid message.
-        eps = estimation_error((local | est_known).bit_count(), config.estimation)
-        delta = config.estimation.value_range_width * eps
+        eps = estimation_error((local | est_known).bit_count(), spec.estimation)
+        delta = spec.estimation.value_range_width * eps
         selected = select_semantic(local, est_known, values, gamma, s_min, delta, rng)
     else:
         selected = select_ideal_semantic(local, known, values, gamma, s_min)
@@ -215,16 +216,17 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
     only the transmitter's known mask is looked up again for the awareness
     snapshots.
     """
-    n = config.scene.vehicle_count
-    objects = place_objects(config.scene, rng)
-    fleet = spawn_vehicles(config.scene, rng)
-    relevance = build_relevance_functions(len(objects), fleet.positions, config.relevance, rng)
+    spec = config.spec
+    n = spec.scene.vehicle_count
+    objects = place_objects(spec.scene, rng)
+    fleet = spawn_vehicles(spec.scene, rng)
+    relevance = build_relevance_functions(len(objects), fleet.positions, spec.relevance, rng)
     state = new_sim_state(objects, fleet, relevance, config)
-    acc = MetricsAccumulator(config.sv_aggregation)
+    acc = MetricsAccumulator(spec.sv_aggregation)
     record_tx = acc.record_transmission
     record_hrr = acc.record_awareness_snapshot
     knowledge = state.knowledge
-    for t in range(config.slots):
+    for t in range(spec.slots_per_episode):
         sent, values, known, low, eps = run_slot(state, rng)
         if t < n:
             continue

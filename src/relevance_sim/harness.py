@@ -3,7 +3,6 @@ and the line-oriented configuration grammar."""
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
 import time
@@ -20,6 +19,9 @@ from .scenario import MobilityMode, SceneConfig
 from .schemes import SCHEME_INDEX, EstimationModel, SchemeKind
 
 DEFAULT_GAMMAS = tuple(range(1, 26))
+# Version of how episodes draw their random numbers; a change that draws
+# differently bumps it and regenerates tests/data/golden.csv.
+SEED_CONTRACT = 1
 
 
 class Mode(Enum):
@@ -119,17 +121,8 @@ def _ci_half_width(values: list[float]) -> float | None:
     return 1.96 * math.sqrt(var / len(values))
 
 
-def _run_cell(spec: ExperimentSpec, cell: tuple[SchemeKind, int]) -> SweepRow:
-    scheme, gamma = cell
-    episode = EpisodeConfig(
-        scene=spec.scene,
-        relevance=spec.relevance,
-        estimation=spec.estimation,
-        scheme=scheme,
-        gamma=gamma,
-        slots=spec.slots_per_episode,
-        sv_aggregation=spec.sv_aggregation,
-    )
+def _run_cell(episode: EpisodeConfig) -> SweepRow:
+    spec, scheme, gamma = episode.spec, episode.scheme, episode.gamma
     merged = MetricsAccumulator(spec.sv_aggregation)
     per_rep: list[MetricsRecord] = []
     for rep in range(spec.replications):
@@ -177,9 +170,8 @@ def run_sweep(
     the remaining cells finish at the rate the finished ones did.
     """
     spec.validate()
-    cells = [(scheme, gamma) for scheme in spec.schemes for gamma in spec.gammas]
+    cells = [EpisodeConfig(spec, scheme, gamma) for scheme in spec.schemes for gamma in spec.gammas]
     workers = min(_worker_count(), len(cells))
-    run_cell = functools.partial(_run_cell, spec)
     rows: list[SweepRow] = []
     started = time.perf_counter()
     with contextlib.ExitStack() as stack:
@@ -187,9 +179,9 @@ def run_sweep(
             import multiprocessing
 
             pool = stack.enter_context(multiprocessing.Pool(workers))
-            finished = pool.imap_unordered(run_cell, cells, chunksize=1)
+            finished = pool.imap_unordered(_run_cell, cells, chunksize=1)
         else:
-            finished = map(run_cell, cells)
+            finished = map(_run_cell, cells)
         for row in finished:
             rows.append(row)
             if progress is not None:

@@ -48,6 +48,7 @@ def object_coordinates(objects: list[ObjectPoint]) -> np.ndarray:
     return np.fromiter(flat, dtype=float, count=2 * len(objects)).reshape(-1, 2)
 
 
+@np.errstate(over="ignore")  # where exp overflows, P = 1 / inf = 0, the curve's limit
 def detection_probability_vector(
     position: tuple[float, float],
     xy: np.ndarray,
@@ -56,6 +57,8 @@ def detection_probability_vector(
     """Vectorised detection probabilities from one viewpoint to every object
     of the `object_coordinates` array `xy`."""
     a1, a2, a3 = coeffs
+    if a1 == 0:  # P is 1 everywhere; 0 * exp(...) would be NaN where exp overflows
+        return np.ones(len(xy))
     d = np.hypot(xy[:, 0] - position[0], xy[:, 1] - position[1])
     return 1.0 / (1.0 + a1 * np.exp(-a2 * (d - a3)))
 

@@ -246,8 +246,6 @@ def exhaustive_best_selection(
 
 def random_selection_instance(
     rng: np.random.Generator,
-    max_local: int = 10,
-    max_gamma: int = 4,
 ) -> tuple[int, list[int], list[list[float]], int, float]:
     """Random small instance for cross-checking the ideal selector.
 
@@ -256,7 +254,7 @@ def random_selection_instance(
     therefore tie-breaks) actually occur, and sums stay exact in binary
     floating point.
     """
-    universe = 30
+    universe, max_local, max_gamma = 30, 10, 4
     n_receivers = int(rng.integers(1, 4))
     n_local = int(rng.integers(0, max_local + 1))
     local = mask_of(rng.choice(universe, size=n_local, replace=False).tolist())

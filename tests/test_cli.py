@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 
-from relevance_sim import cli, harness
+from relevance_sim import cli, engine, harness
 
 BASE_CMD = [sys.executable, "-m", "relevance_sim"]
 
@@ -30,6 +30,7 @@ def test_run_preset_writes_results_and_log(tmp_path):
     assert "run.replications = 2  # override" in log
     assert "run.slots = 20  # override" in log
     assert "run.seed = 12345  # default" in log
+    assert f"seed_contract = {harness.SEED_CONTRACT}" in log.splitlines()
     assert "rows = 125" in log
 
 
@@ -104,6 +105,28 @@ def test_steep_estimation_curve_runs(tmp_path):
     assert all(0.0 <= float(row[mean_eps]) <= 1.0 for row in semantic)
 
 
+def test_flat_detection_curve_runs_silently(tmp_path, monkeypatch):
+    # a1 = 0 makes P = 1 at every distance, although exp(100 * (d - 60))
+    # overflows a float beyond about 67 m.
+    text = ("scene.detection_a1 = 0\nscene.detection_a2 = -100\nrun.replications = 2\n"
+            "run.slots = 20\nrun.gammas = 1,3\n")
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(text)
+    proc = _run("run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    probs = []
+    detect = engine.detection_probability_vector
+
+    def recording_detect(*args):
+        probs.append(detect(*args))
+        return probs[-1]
+
+    monkeypatch.setattr(engine, "detection_probability_vector", recording_detect)
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
+    harness.run_sweep(harness.parse_config(text))
+    assert probs and all((p == 1.0).all() for p in probs)
+
+
 def test_non_finite_config_exits_2_before_running(tmp_path):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("scene.width = nan\nrun.slots = 8\n")
@@ -161,6 +184,9 @@ def test_validate_echoes_resolved_config(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "run.seed = 777  # config" in proc.stdout
     assert "scene.object_count = 110  # default" in proc.stdout
+    # The seed contract is a comment, so the listing still parses back.
+    assert proc.stdout.splitlines()[0] == f"# seed_contract = {harness.SEED_CONTRACT}"
+    assert harness.parse_config(proc.stdout) == harness.parse_config(cfg.read_text())
     bad = tmp_path / "vbad.cfg"
     bad.write_text("nonsense here\n")
     assert _run("validate", "--config", str(bad)).returncode == 2

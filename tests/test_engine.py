@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from relevance_sim import SchemeKind, engine
+from relevance_sim import ExperimentSpec, SchemeKind, engine
 from relevance_sim.engine import EpisodeConfig, new_sim_state, run_episode_accumulator, run_slot
 from relevance_sim.relevance import RelevanceParams, build_relevance_functions
 from relevance_sim.scenario import MobilityMode, SceneConfig, place_objects, spawn_vehicles
-from relevance_sim.schemes import EstimationModel, ids_of
+from relevance_sim.schemes import ids_of
 
 PARAMS = RelevanceParams()
 
@@ -18,10 +18,8 @@ def _fresh_state(seed, scheme=SchemeKind.BASELINE, gamma=10, vehicles=2,
     cfg = SceneConfig(vehicle_count=vehicles, mobility_mode=mobility)
     objects, fleet = place_objects(cfg, rng), spawn_vehicles(cfg, rng)
     relevance = build_relevance_functions(len(objects), fleet.positions, relevance_params, rng)
-    config = EpisodeConfig(
-        scene=cfg, relevance=relevance_params, estimation=EstimationModel(), scheme=scheme,
-        gamma=gamma, slots=400,
-    )
+    spec = ExperimentSpec(scene=cfg, relevance=relevance_params, slots_per_episode=400)
+    config = EpisodeConfig(spec, scheme, gamma)
     return new_sim_state(objects, fleet, relevance, config), rng, relevance
 
 
@@ -186,9 +184,8 @@ def test_all_low_relevance_yields_empty_messages():
 
 
 def test_episode_is_deterministic():
-    cfg = EpisodeConfig(scene=SceneConfig(), relevance=PARAMS,
-                        estimation=EstimationModel(), scheme=SchemeKind.SEMANTIC,
-                        gamma=7, slots=120)
+    cfg = EpisodeConfig(ExperimentSpec(relevance=PARAMS, slots_per_episode=120),
+                        SchemeKind.SEMANTIC, 7)
     a = run_episode_accumulator(cfg, np.random.default_rng(40)).finalize()
     b = run_episode_accumulator(cfg, np.random.default_rng(40)).finalize()
     assert a == b
@@ -197,9 +194,8 @@ def test_episode_is_deterministic():
 
 
 def test_warm_up_excludes_first_cycle():
-    cfg = EpisodeConfig(scene=SceneConfig(), relevance=PARAMS,
-                        estimation=EstimationModel(), scheme=SchemeKind.BASELINE,
-                        gamma=5, slots=200)
+    cfg = EpisodeConfig(ExperimentSpec(relevance=PARAMS, slots_per_episode=200),
+                        SchemeKind.BASELINE, 5)
     acc = run_episode_accumulator(cfg, np.random.default_rng(42))
     # 200 slots minus a 2-slot warm-up: 99 counted messages per vehicle.
     assert acc.messages == 198
@@ -208,9 +204,8 @@ def test_warm_up_excludes_first_cycle():
 def test_unconstrained_baseline_sends_whole_local_set():
     # gamma = 25 exceeds typical local-set sizes, so the mean message size
     # reproduces the mean detection count (~15 objects).
-    cfg = EpisodeConfig(scene=SceneConfig(), relevance=PARAMS,
-                        estimation=EstimationModel(), scheme=SchemeKind.BASELINE,
-                        gamma=25, slots=400)
+    cfg = EpisodeConfig(ExperimentSpec(relevance=PARAMS, slots_per_episode=400),
+                        SchemeKind.BASELINE, 25)
     # Per-episode means swing widely with vehicle placement (a corner vehicle
     # sees far fewer objects), so average over a batch of scenes.
     sizes = []
@@ -249,9 +244,9 @@ def test_detection_vectors_computed_only_where_drawn(monkeypatch, mobility):
 
     monkeypatch.setattr(engine, "detection_probability_vector", counting_detect)
     monkeypatch.setattr(engine, "sample_hits", recording_draw)
-    cfg = EpisodeConfig(scene=SceneConfig(vehicle_count=n, mobility_mode=mobility),
-                        relevance=PARAMS, estimation=EstimationModel(),
-                        scheme=SchemeKind.BASELINE, gamma=5, slots=slots)
+    spec = ExperimentSpec(scene=SceneConfig(vehicle_count=n, mobility_mode=mobility),
+                          relevance=PARAMS, slots_per_episode=slots)
+    cfg = EpisodeConfig(spec, SchemeKind.BASELINE, 5)
     run_episode_accumulator(cfg, np.random.default_rng(46))
     assert len(drawn) == slots
     if mobility is MobilityMode.STATIC_EPISODE:

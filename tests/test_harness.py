@@ -1,6 +1,7 @@
 """Experiment harness: presets, seed derivation, sweeps, CSV, config grammar."""
 import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from relevance_sim import (
     SchemeKind,
     SweepRow,
     emit_csv,
+    harness,
     parse_config,
     preset,
     run_sweep,
 )
+from relevance_sim.engine import EpisodeConfig
 from relevance_sim.harness import (
     DEFAULT_GAMMAS,
     derive_rng,
@@ -121,6 +124,26 @@ def test_sweep_rows_sorted_and_deterministic(monkeypatch):
     assert order == [(SchemeKind.BASELINE, 2), (SchemeKind.BASELINE, 9),
                      (SchemeKind.SEMANTIC, 2), (SchemeKind.SEMANTIC, 9)]
     assert render_csv(run_sweep(spec)) == render_csv(rows)
+
+
+def test_each_episode_gets_its_cell_record(monkeypatch):
+    # One worker, so every episode runs in this process through the module global.
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
+    spec = _tiny_spec(schemes=(SchemeKind.BASELINE, SchemeKind.SEMANTIC), gammas=(2, 7),
+                      replications=3)
+    configs = []
+    inner = harness.run_episode_accumulator
+
+    def recording(config, rng):
+        configs.append(config)
+        return inner(config, rng)
+
+    monkeypatch.setattr(harness, "run_episode_accumulator", recording)
+    run_sweep(spec)
+    assert all(type(c) is EpisodeConfig and c.spec is spec for c in configs)
+    assert Counter((c.scheme, c.gamma) for c in configs) == {
+        (s, g): spec.replications for s in spec.schemes for g in spec.gammas
+    }
 
 
 def test_parallel_sweep_reports_each_cell_and_matches_serial(monkeypatch):

@@ -1,5 +1,6 @@
 """Scenario generation: detection model, object placement, vehicle kinematics."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ def test_detection_probability_vector_matches_scalar_curve():
         d = math.hypot(o.position[0] - position[0], o.position[1] - position[1])
         assert abs(p - detection_probability(d, COEFFS)) <= 1e-15
     assert detection_probability_vector(position, object_coordinates([]), COEFFS).shape == (0,)
+
+
+def test_detection_curve_takes_its_limit_where_the_exponential_overflows():
+    # Objects 10, 100, 700 and 800 m away; with a2 = -100 the exponential
+    # overflows a float beyond about 67 m, and with a1 = 1e10 the product
+    # a1 * exp(d) overflows at 700 m although exp(700) does not.
+    xy = np.array([[10.0, 0.0], [100.0, 0.0], [700.0, 0.0], [800.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = detection_probability_vector((0.0, 0.0), xy, (0.0, -100.0, 60.0))
+        cliff = detection_probability_vector((0.0, 0.0), xy, (0.08, -100.0, 60.0))
+        steep = detection_probability_vector((0.0, 0.0), xy, (1e10, -1.0, 0.0))
+    assert flat.tolist() == [1.0, 1.0, 1.0, 1.0]  # a1 = 0: P = 1 at every distance
+    assert cliff.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert steep[2:].tolist() == [0.0, 0.0] and 0.0 < steep[0] < 1e-9
 
 
 def test_place_objects_bounds_count_and_determinism():
