@@ -16,13 +16,15 @@ expires exactly when its sender transmits again, so:
 
 The episode's vehicles are held once, as the `Fleet` that `spawn_vehicles`
 returns; the relevance functions are built from its spawn positions before
-the first slot.  Geometry is cached per episode in the form the slot loop
-uses: the (K, 2) array of object positions, built once, and each vehicle's
-detection probabilities.  In a constant-velocity episode every slot first
-moves all vehicles one step in place (`advance_mobility` on the fleet) and
-then computes the transmitter's probabilities, which are never needed
-before; static episodes compute them once, before the first slot.  The
-detection curve and the mobility mode are read from the run's
+the first slot.  The scene's objects are the record array `place_objects`
+returns; its `position` field is the (K, 2) array of object positions, row k
+for object k, so object ids are row indices, bit positions and value-vector
+indices alike.  Geometry is cached per episode: that array and each
+vehicle's detection probabilities.  In a constant-velocity episode every
+slot first moves all vehicles one step in place (`advance_mobility` on the
+fleet) and then computes the transmitter's probabilities, which are never
+needed before; static episodes compute them once, before the first slot.
+The detection curve and the mobility mode are read from the run's
 `SceneConfig`.  Each transmitter's `ReceiverView` (its receivers, their
 value rows, and the ids below s_min for all of them) is built once too.
 """
@@ -38,10 +40,8 @@ from .relevance import RelevanceFunction, build_relevance_functions
 from .scenario import (
     Fleet,
     MobilityMode,
-    ObjectPoint,
     advance_mobility,
     detection_probability_vector,
-    object_coordinates,
     place_objects,
     sample_hits,
     spawn_vehicles,
@@ -75,11 +75,7 @@ class KnowledgeBase:
 
     def known_mask(self, v: int) -> int:
         """Vehicle v's snapshot united with every other sender's valid message."""
-        mask = self.local[v]
-        for s, m in enumerate(self.sent):
-            if s != v:
-                mask |= m
-        return mask
+        return self.local[v] | estimate_receiver_known(self.sent, v)
 
 
 @dataclass(frozen=True)
@@ -126,15 +122,13 @@ class SimState:
 
 
 def new_sim_state(
-    objects: list[ObjectPoint],
+    objects: np.recarray,
     fleet: Fleet,
     relevance: list[RelevanceFunction],
     config: EpisodeConfig,
 ) -> SimState:
     n = len(fleet.positions)
-    # Dense object ids double as bit positions and value-vector indices.
-    assert all(o.id == i for i, o in enumerate(objects))
-    xy = object_coordinates(objects)
+    xy = objects.position
     scene = config.spec.scene
     coeffs = scene.detection_coeffs
     # A moving vehicle's probabilities are computed in run_slot, before each draw.
@@ -170,7 +164,7 @@ def run_slot(
     spec = config.spec
     scene = spec.scene
     if scene.mobility_mode is MobilityMode.CONSTANT_VELOCITY:
-        advance_mobility(state.fleet, 1)
+        advance_mobility(state.fleet)
         probs = detection_probability_vector(
             state.fleet.positions[tx], state._xy, scene.detection_coeffs
         )

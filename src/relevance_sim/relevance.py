@@ -34,9 +34,10 @@ class RelevanceFunction:
     values: tuple[float, ...]
     # Derived, cached for the hot loop, as bitmasks over object ids: the ids
     # with a nonzero value and their count, and the ids valued below s_min.
-    high_mask: int = field(repr=False, default=0)
-    high_count: int = field(repr=False, default=0)
-    low_mask: int = field(repr=False, default=0)
+    # Required, so `from_values` is the one way to get them right.
+    high_mask: int = field(repr=False)
+    high_count: int = field(repr=False)
+    low_mask: int = field(repr=False)
 
     @staticmethod
     def from_values(values: np.ndarray, s_min: float) -> RelevanceFunction:

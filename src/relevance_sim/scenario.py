@@ -1,18 +1,20 @@
 """Driving-scenario generation: object placement, vehicle kinematics, and the
 onboard perception model (distance-dependent detection probability).
 
-A `Fleet` is the one representation of an episode's vehicles: their current
-positions plus, per vehicle, the origin->destination track it moves along.
-`spawn_vehicles` draws it and `advance_mobility` moves it in place.  The
-detection curve and the mobility mode are read from `SceneConfig` only.
+The scene's objects are one NumPy record array, one record per object:
+`place_objects` returns it, and its `position` field is the contiguous (K, 2)
+array of object positions that the detection curve consumes, so object k is
+row k.  A `Fleet` is the one representation of an episode's vehicles: their
+current positions plus, per vehicle, the origin->destination track it moves
+along.  `spawn_vehicles` draws it and `advance_mobility` moves it one step in
+place.  The detection curve and the mobility mode are read from `SceneConfig`
+only.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,17 +39,6 @@ class SceneConfig:
     detection_coeffs: tuple[float, float, float] = DEFAULT_DETECTION_COEFFS
 
 
-class ObjectPoint(NamedTuple):
-    id: int
-    position: tuple[float, float]
-
-
-def object_coordinates(objects: list[ObjectPoint]) -> np.ndarray:
-    """The (K, 2) float array of object positions, row k for object k."""
-    flat = itertools.chain.from_iterable(o.position for o in objects)
-    return np.fromiter(flat, dtype=float, count=2 * len(objects)).reshape(-1, 2)
-
-
 @np.errstate(over="ignore")  # where exp overflows, P = 1 / inf = 0, the curve's limit
 def detection_probability_vector(
     position: tuple[float, float],
@@ -55,7 +46,7 @@ def detection_probability_vector(
     coeffs: tuple[float, float, float],
 ) -> np.ndarray:
     """Vectorised detection probabilities from one viewpoint to every object
-    of the `object_coordinates` array `xy`."""
+    position in the (K, 2) array `xy`."""
     a1, a2, a3 = coeffs
     if a1 == 0:  # P is 1 everywhere; 0 * exp(...) would be NaN where exp overflows
         return np.ones(len(xy))
@@ -63,15 +54,17 @@ def detection_probability_vector(
     return 1.0 / (1.0 + a1 * np.exp(-a2 * (d - a3)))
 
 
-def place_objects(config: SceneConfig, rng: np.random.Generator) -> list[ObjectPoint]:
+def place_objects(config: SceneConfig, rng: np.random.Generator) -> np.recarray:
     """Scatter `object_count` points i.i.d. uniform over the rectangle.
 
-    A Poisson point process conditioned on its count is exactly this binomial
-    process, so a fixed count and uniform positions are mutually consistent.
+    Returns one record per object; the `position` field is the (K, 2) array
+    of their coordinates, so an object's id is its row index.  A Poisson
+    point process conditioned on its count is exactly this binomial process,
+    so a fixed count and uniform positions are mutually consistent.
     """
-    xs = rng.uniform(0.0, config.width, config.object_count).tolist()
-    ys = rng.uniform(0.0, config.height, config.object_count).tolist()
-    return list(map(ObjectPoint, range(config.object_count), zip(xs, ys)))
+    xs = rng.uniform(0.0, config.width, config.object_count)
+    ys = rng.uniform(0.0, config.height, config.object_count)
+    return np.rec.fromarrays([np.column_stack((xs, ys))], dtype=[("position", float, (2,))])
 
 
 @dataclass(slots=True)
@@ -108,8 +101,8 @@ def spawn_vehicles(config: SceneConfig, rng: np.random.Generator) -> Fleet:
     return Fleet(positions, tracks)
 
 
-def advance_mobility(fleet: Fleet, slots: int) -> None:
-    """Move every vehicle `slots` time steps along its segment, in place.
+def advance_mobility(fleet: Fleet) -> None:
+    """Move every vehicle one time step along its segment, in place.
 
     Vehicles clamp at the destination instead of overshooting or respawning;
     in a static episode they stay where they are. Each vehicle's new position
@@ -118,14 +111,10 @@ def advance_mobility(fleet: Fleet, slots: int) -> None:
     form over the slot count, or numpy's `hypot`, would change the low bits
     of the positions, and with them the golden CSV bytes.
     """
-    if slots < 0:
-        raise ValueError("slots must be >= 0")
-    if slots == 0:
-        return
     positions = fleet.positions
     for v, (ox, oy, dx, dy, seg_len, step) in enumerate(fleet.tracks):
         x, y = positions[v]
-        travelled = min(seg_len, math.hypot(x - ox, y - oy) + step * slots)
+        travelled = min(seg_len, math.hypot(x - ox, y - oy) + step)
         frac = travelled / seg_len
         positions[v] = (ox + frac * dx, oy + frac * dy)
 

@@ -7,7 +7,7 @@ program against them.
 """
 import math
 
-from relevance_sim.scenario import detection_probability_vector, object_coordinates, sample_hits
+from relevance_sim.scenario import detection_probability_vector, sample_hits
 
 
 def detection_probability(distance, coeffs):
@@ -16,15 +16,15 @@ def detection_probability(distance, coeffs):
     return 1.0 / (1.0 + a1 * math.exp(-a2 * (distance - a3)))
 
 
-def sample_local_set(position, objects, coeffs, rng):
+def sample_local_set(position, xy, coeffs, rng):
     """One fresh perception snapshot from `position`: an independent Bernoulli
-    trial per object, with the same draws as the engine's perception step.
+    trial per object of the (K, 2) position array `xy`, with the same draws as
+    the engine's perception step.  Returns the row indices of the hits.
 
     Snapshots do not accumulate across communication cycles; every call is a
     new attempt with the per-object detection probability.
     """
-    probs = detection_probability_vector(position, object_coordinates(objects), coeffs)
-    return {objects[i].id for i in sample_hits(probs, rng)}
+    return set(sample_hits(detection_probability_vector(position, xy, coeffs), rng))
 
 
 def sample_estimated_value(true_w, eps, model, rng):

@@ -35,6 +35,8 @@ from relevance_sim.schemes import (
     select_semantic,
 )
 
+pytestmark = pytest.mark.acceptance
+
 GAMMAS = tuple(range(1, 26))
 AGNOSTIC = (SchemeKind.BASELINE, SchemeKind.IRC, SchemeKind.RM)
 
@@ -76,9 +78,9 @@ def test_criterion_02_mean_snapshot_size(capsys):
     rng = np.random.default_rng(20260816)
     sizes = []
     for _ in range(2000):
-        objects = place_objects(cfg, rng)
+        xy = place_objects(cfg, rng).position
         position = spawn_vehicles(cfg, rng).positions[0]
-        sizes.append(len(sample_local_set(position, objects, cfg.detection_coeffs, rng)))
+        sizes.append(len(sample_local_set(position, xy, cfg.detection_coeffs, rng)))
     mean = statistics.fmean(sizes)
     ok = 13.0 <= mean <= 17.0
     _report(capsys, 2, ok, f"mean snapshot size {mean:.2f} in [13, 17] "

@@ -5,9 +5,9 @@ import pytest
 
 from relevance_sim import ExperimentSpec, SchemeKind, engine
 from relevance_sim.engine import EpisodeConfig, new_sim_state, run_episode_accumulator, run_slot
-from relevance_sim.relevance import RelevanceParams, build_relevance_functions
+from relevance_sim.relevance import RelevanceFunction, RelevanceParams, build_relevance_functions
 from relevance_sim.scenario import MobilityMode, SceneConfig, place_objects, spawn_vehicles
-from relevance_sim.schemes import ids_of
+from relevance_sim.schemes import EstimationModel, estimation_error, ids_of
 
 PARAMS = RelevanceParams()
 
@@ -21,6 +21,44 @@ def _fresh_state(seed, scheme=SchemeKind.BASELINE, gamma=10, vehicles=2,
     spec = ExperimentSpec(scene=cfg, relevance=relevance_params, slots_per_episode=400)
     config = EpisodeConfig(spec, scheme, gamma)
     return new_sim_state(objects, fleet, relevance, config), rng, relevance
+
+
+def _semantic_state(detected, receiver_local, receiver_sent, k=30, width=1.0):
+    # Two static vehicles over k objects, both valuing every object at 0.9.
+    # Vehicle 0 transmits first and detects exactly the ids in `detected`
+    # (detection probabilities of 0 and 1); vehicle 1 holds the snapshot
+    # `receiver_local` and the still-valid message `receiver_sent`.
+    rng = np.random.default_rng(47)
+    spec = ExperimentSpec(scene=SceneConfig(object_count=k, vehicle_count=2),
+                          estimation=EstimationModel(value_range_width=width))
+    values = np.full(k, 0.9)
+    relevance = [RelevanceFunction.from_values(values, spec.relevance.s_min)] * 2
+    objects, fleet = place_objects(spec.scene, rng), spawn_vehicles(spec.scene, rng)
+    state = new_sim_state(objects, fleet, relevance, EpisodeConfig(spec, SchemeKind.SEMANTIC, 1))
+    state._probs[0] = np.isin(np.arange(k), detected).astype(float)
+    state.knowledge.local[1] = receiver_local
+    state.knowledge.sent[1] = receiver_sent
+    return state, rng
+
+
+def test_semantic_does_not_see_the_receivers_unsent_snapshot():
+    # Object 0 is in both snapshots but was never transmitted, so the channel
+    # estimate cannot know the receiver holds it: Semantic still sends it.
+    state, rng = _semantic_state(detected=[0], receiver_local=1, receiver_sent=0, width=1e-9)
+    sent, _, known, _, _ = run_slot(state, rng)
+    assert known == [1]
+    assert sent == 1
+
+
+def test_semantic_eps_counts_the_transmitters_whole_known_set():
+    # The transmitter knows its one detection plus the 29 ids of the
+    # receiver's valid message, none of which it detected itself.
+    heard = (1 << 30) - 2
+    state, rng = _semantic_state(detected=[0], receiver_local=heard, receiver_sent=heard)
+    _, _, _, _, eps = run_slot(state, rng)
+    model = state.config.spec.estimation
+    assert eps == estimation_error(30, model)
+    assert eps != estimation_error(1, model)
 
 
 def _receivers(tx, n):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from relevance_sim.relevance import (
+    RelevanceFunction,
     RelevanceParams,
     build_relevance_functions,
     correlation_coefficient,
@@ -17,6 +18,14 @@ K = 110  # objects per scene
 def _two_vehicles(separation):
     # Spawn positions of a reference vehicle and one `separation` metres away.
     return [(0.0, 0.0), (separation, 0.0)]
+
+
+def test_derived_masks_cannot_be_left_out():
+    # Built without its masks, a function would have no high or low ids.
+    with pytest.raises(TypeError):
+        RelevanceFunction((0.9, 0.0))
+    rel = RelevanceFunction.from_values(np.array([0.9, 0.0, 0.03]), 0.05)
+    assert (rel.high_mask, rel.high_count, rel.low_mask) == (0b101, 2, 0b110)
 
 
 def test_correlation_reference_points():

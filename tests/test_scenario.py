@@ -9,11 +9,9 @@ from reference import detection_probability, sample_local_set
 from relevance_sim.scenario import (
     Fleet,
     MobilityMode,
-    ObjectPoint,
     SceneConfig,
     advance_mobility,
     detection_probability_vector,
-    object_coordinates,
     place_objects,
     spawn_vehicles,
 )
@@ -37,16 +35,14 @@ def test_detection_probability_strictly_decreasing():
 
 def test_detection_probability_vector_matches_scalar_curve():
     cfg = SceneConfig()
-    objs = place_objects(cfg, np.random.default_rng(8))
-    xy = object_coordinates(objs)
+    xy = place_objects(cfg, np.random.default_rng(8)).position
     assert xy.shape == (cfg.object_count, 2)
-    assert [tuple(row) for row in xy.tolist()] == [o.position for o in objs]
     position = (313.25, 71.5)
     probs = detection_probability_vector(position, xy, COEFFS)
-    for o, p in zip(objs, probs):
-        d = math.hypot(o.position[0] - position[0], o.position[1] - position[1])
+    for (x, y), p in zip(xy.tolist(), probs):
+        d = math.hypot(x - position[0], y - position[1])
         assert abs(p - detection_probability(d, COEFFS)) <= 1e-15
-    assert detection_probability_vector(position, object_coordinates([]), COEFFS).shape == (0,)
+    assert detection_probability_vector(position, np.empty((0, 2)), COEFFS).shape == (0,)
 
 
 def test_detection_curve_takes_its_limit_where_the_exponential_overflows():
@@ -68,12 +64,25 @@ def test_place_objects_bounds_count_and_determinism():
     cfg = SceneConfig()
     objs = place_objects(cfg, np.random.default_rng(7))
     assert len(objs) == cfg.object_count
-    assert [o.id for o in objs] == list(range(cfg.object_count))
-    for o in objs:
-        assert 0.0 <= o.position[0] <= cfg.width
-        assert 0.0 <= o.position[1] <= cfg.height
+    xy = objs.position
+    assert xy.shape == (cfg.object_count, 2) and xy.flags.c_contiguous
+    assert np.all((xy >= 0.0) & (xy <= (cfg.width, cfg.height)))
+    # Each record's position is its row of the field: object k is row k.
+    assert [tuple(o.position) for o in objs] == [tuple(row) for row in xy]
     again = place_objects(cfg, np.random.default_rng(7))
-    assert [o.position for o in again] == [o.position for o in objs]
+    assert np.array_equal(again.position, xy)
+
+
+def test_place_objects_draws_xs_then_ys():
+    # Draw contract: all x coordinates, then all y coordinates.
+    cfg = SceneConfig(object_count=5)
+    rng = np.random.default_rng(9)
+    xs, ys = rng.uniform(0.0, cfg.width, 5), rng.uniform(0.0, cfg.height, 5)
+    got_rng = np.random.default_rng(9)
+    xy = place_objects(cfg, got_rng).position
+    assert xy[:, 0].tolist() == xs.tolist() and xy[:, 1].tolist() == ys.tolist()
+    assert got_rng.bit_generator.state == rng.bit_generator.state
+    assert place_objects(SceneConfig(object_count=0), got_rng).position.shape == (0, 2)
 
 
 def test_place_objects_uniform_mean_x():
@@ -83,7 +92,7 @@ def test_place_objects_uniform_mean_x():
     rng = np.random.default_rng(11)
     xs = []
     while len(xs) < 10_000:
-        xs.extend(o.position[0] for o in place_objects(cfg, rng))
+        xs.extend(place_objects(cfg, rng).position[:, 0].tolist())
     xs = np.array(xs)
     sigma = (cfg.width / math.sqrt(12.0)) / math.sqrt(len(xs))
     assert abs(xs.mean() - cfg.width / 2) < 3 * sigma
@@ -142,8 +151,8 @@ def test_local_set_size_matches_quadrature_for_centred_vehicle():
     expected = _expected_local_size_quadrature(cfg, position)
     sizes = []
     for _ in range(400):
-        objs = place_objects(cfg, rng)
-        sizes.append(len(sample_local_set(position, objs, cfg.detection_coeffs, rng)))
+        xy = place_objects(cfg, rng).position
+        sizes.append(len(sample_local_set(position, xy, cfg.detection_coeffs, rng)))
     mean = np.mean(sizes)
     sem = np.std(sizes, ddof=1) / math.sqrt(len(sizes))
     assert abs(mean - expected) < 4 * sem
@@ -151,9 +160,9 @@ def test_local_set_size_matches_quadrature_for_centred_vehicle():
 
 def test_object_at_vehicle_position_nearly_always_detected():
     # One object at distance zero: inclusion frequency ~ P(0) = 0.99934.
-    objs = [ObjectPoint(0, (100.0, 100.0))]
+    xy = np.array([[100.0, 100.0]])
     rng = np.random.default_rng(23)
-    hits = sum(0 in sample_local_set((100.0, 100.0), objs, COEFFS, rng) for _ in range(10_000))
+    hits = sum(0 in sample_local_set((100.0, 100.0), xy, COEFFS, rng) for _ in range(10_000))
     assert hits / 10_000 == pytest.approx(0.99934, abs=0.005)
 
 
@@ -163,7 +172,8 @@ def test_advance_mobility_static_is_identity():
     place_objects(cfg, rng)
     fleet = spawn_vehicles(cfg, rng)
     start = list(fleet.positions)
-    advance_mobility(fleet, 50)
+    for _ in range(50):
+        advance_mobility(fleet)
     assert fleet.positions == start
 
 
@@ -173,20 +183,15 @@ def _line_fleet():
 
 
 def test_advance_mobility_constant_velocity_moves_and_clamps():
-    jump = _line_fleet()
-    advance_mobility(jump, 30)
-    assert jump.positions[0] == pytest.approx((30.0, 0.0))
-    # Stepping slot by slot lands in the same place as one big jump.
     step = _line_fleet()
     for _ in range(30):
-        advance_mobility(step, 1)
+        advance_mobility(step)
     assert step.positions[0] == pytest.approx((30.0, 0.0))
     # Far beyond the segment end: clamp exactly at the destination, no overshoot.
     clamped = _line_fleet()
-    advance_mobility(clamped, 10_000)
+    for _ in range(10_000):
+        advance_mobility(clamped)
     assert clamped.positions == [(100.0, 0.0), (100.0, 0.0)]
-    with pytest.raises(ValueError):
-        advance_mobility(clamped, -1)
 
 
 def _moving_fleet(seed, speed=100.0):
@@ -200,7 +205,7 @@ def test_advance_mobility_keeps_vehicles_on_their_segments():
         fleet = _moving_fleet(seed)
         travelled = [0.0] * 4
         for _ in range(100):  # 10 m per slot: most vehicles clamp on the way
-            advance_mobility(fleet, 1)
+            advance_mobility(fleet)
             for v, (x, y) in enumerate(fleet.positions):
                 ox, oy, dx, dy, seg_len, _ = fleet.tracks[v]
                 along = ((x - ox) * dx + (y - oy) * dy) / seg_len
@@ -213,25 +218,14 @@ def test_advance_mobility_keeps_vehicles_on_their_segments():
 def test_clamped_vehicle_sits_exactly_at_its_segment_end():
     for seed in range(20):
         fleet = _moving_fleet(seed)
-        advance_mobility(fleet, 83)  # 830 m: longer than the scene diagonal
+        for _ in range(83):  # 830 m: longer than the scene diagonal
+            advance_mobility(fleet)
         for position, (ox, oy, dx, dy, _, _) in zip(fleet.positions, fleet.tracks):
             # origin + 1.0 * (destination - origin), which is the destination
             # up to the rounding of that sum.
             assert position == (ox + dx, oy + dy)
         # Once clamped, further steps stay put.
         before = list(fleet.positions)
-        advance_mobility(fleet, 1)
-        advance_mobility(fleet, 40)
+        for _ in range(41):
+            advance_mobility(fleet)
         assert fleet.positions == before
-
-
-def test_one_long_step_matches_many_short_steps():
-    for seed in range(20):
-        jump = _moving_fleet(seed, speed=14.0)
-        step = _moving_fleet(seed, speed=14.0)
-        for n in (1, 7, 40, 400):
-            advance_mobility(jump, n)
-            for _ in range(n):
-                advance_mobility(step, 1)
-            for a, b in zip(jump.positions, step.positions):
-                assert a == pytest.approx(b, abs=1e-9)
