@@ -16,8 +16,9 @@ from .harness import (
     PRESET_NAMES,
     SEED_CONTRACT,
     ConfigError,
+    ExperimentSpec,
     emit_csv,
-    parse_config_with_provenance,
+    parse_config,
     preset,
     resolved_config_lines,
     run_sweep,
@@ -70,15 +71,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_spec(args: argparse.Namespace) -> tuple:
+def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as f:
                 text = f.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config file: {e}") from e
-        return parse_config_with_provenance(text)
-    return preset(args.preset), {}
+        return parse_config(text)
+    return preset(args.preset)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -92,14 +93,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     try:
-        spec, overridden = _load_spec(args)
-        cli_overridden = set()
+        spec = configured = _load_spec(args)
         for key, value in (("run.seed", args.seed), ("run.replications", args.replications),
                            ("run.slots", args.slots)):
             if value is not None:
                 spec = with_value(spec, key, value)
-                cli_overridden.add(key)
-        started = time.time()
+        started = time.perf_counter()
         rows = run_sweep(spec, progress=progress)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -114,8 +113,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     log_path = os.path.join(args.out, "run.log")
     with open(log_path, "w", encoding="utf-8") as f:
         f.write(f"source = {args.preset or args.config}\nseed_contract = {SEED_CONTRACT}\n")
-        f.write("\n".join(resolved_config_lines(spec, overridden, cli_overridden)) + "\n")
-        f.write(f"rows = {len(rows)}\nelapsed_seconds = {time.time() - started:.1f}\n")
+        f.write("\n".join(resolved_config_lines(spec, configured)) + "\n")
+        f.write(f"rows = {len(rows)}\nelapsed_seconds = {time.perf_counter() - started:.1f}\n")
     if not args.quiet:
         print(f"wrote {csv_path} ({len(rows)} rows); parameters in {log_path}")
     return 0
@@ -123,12 +122,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        spec, overridden = _load_spec(args)
+        spec = _load_spec(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return CONFIG_ERROR
     print(f"# seed_contract = {SEED_CONTRACT}")
-    print("\n".join(resolved_config_lines(spec, overridden)))
+    print("\n".join(resolved_config_lines(spec)))
     return 0
 
 

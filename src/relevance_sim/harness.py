@@ -163,7 +163,7 @@ def run_sweep(
     progress: Callable[[str], None] | None = None,
 ) -> list[SweepRow]:
     """Run every (scheme, gamma) cell of the grid; rows come back sorted by
-    (mode, scheme order, gamma) regardless of execution order or parallelism.
+    (scheme order, gamma) regardless of execution order or parallelism.
 
     `progress` gets one line per cell as it finishes, in the serial and in the
     parallel path alike, with the finished-cell count and an ETA that assumes
@@ -189,7 +189,7 @@ def run_sweep(
                 eta = (time.perf_counter() - started) / done * (len(cells) - done)
                 progress(f"{row.scheme.value} gamma={row.gamma} done "
                          f"({done}/{len(cells)}, ETA {_duration(eta)})")
-    rows.sort(key=lambda r: (r.mode.value, SCHEME_INDEX[r.scheme], r.gamma))
+    rows.sort(key=lambda r: (SCHEME_INDEX[r.scheme], r.gamma))
     return rows
 
 
@@ -346,14 +346,10 @@ def with_value(spec: ExperimentSpec, key: str, value: object) -> ExperimentSpec:
     return _set(spec, {_KEYS[key][1]: value})
 
 
-def parse_config_with_provenance(text: str) -> tuple[ExperimentSpec, dict[str, str]]:
-    """Parse the config document; also report which keys the document set.
-
-    Every key the document does not mention keeps its experiment default, so
-    callers can echo the full resolved parameter set with provenance.
-    """
+def parse_config(text: str) -> ExperimentSpec:
+    """Parse the config document; every key it does not mention keeps its
+    experiment default."""
     values: dict[tuple[str | int, ...], object] = {}
-    raw_values: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -363,22 +359,16 @@ def parse_config_with_provenance(text: str) -> tuple[ExperimentSpec, dict[str, s
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw_values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         parser, path = _KEYS[key]
+        if path in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            value = parser(raw_value)
+            values[path] = parser(raw_value)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
-        values[path] = value
-        raw_values[key] = raw_value
     spec = _set(ExperimentSpec(), values)
     spec.validate()
-    return spec, raw_values
-
-
-def parse_config(text: str) -> ExperimentSpec:
-    return parse_config_with_provenance(text)[0]
+    return spec
 
 
 def _show(value: object) -> str:
@@ -389,21 +379,24 @@ def _show(value: object) -> str:
     return str(value)
 
 
-def resolved_config_lines(
-    spec: ExperimentSpec,
-    overridden: dict[str, str] | None = None,
-    cli_overridden: set[str] | None = None,
-) -> list[str]:
-    """Full parameter listing, one `key = value` per line, flagging provenance."""
-    overridden = overridden or {}
-    cli_overridden = cli_overridden or set()
+def resolved_config_lines(spec: ExperimentSpec, configured: ExperimentSpec | None = None) -> list[str]:
+    """Full parameter listing, one `key = value  # origin` per line.
+
+    The origin names the last step that changed the value: `override` where
+    `spec` differs from `configured` (the spec before command-line overrides),
+    `config` where `configured` differs from `ExperimentSpec()` (a preset or
+    config file moved it), and `default` otherwise.
+    """
+    configured = spec if configured is None else configured
+    default = ExperimentSpec()
     out = []
     for key, (_, path) in _KEYS.items():
-        if key in cli_overridden:
+        value = _get(spec, path)
+        if value != _get(configured, path):
             origin = "override"
-        elif key in overridden:
+        elif value != _get(default, path):
             origin = "config"
         else:
             origin = "default"
-        out.append(f"{key} = {_show(_get(spec, path))}  # {origin}")
+        out.append(f"{key} = {_show(value)}  # {origin}")
     return out

@@ -34,6 +34,41 @@ def test_run_preset_writes_results_and_log(tmp_path):
     assert "rows = 125" in log
 
 
+def test_run_log_flags_each_key_by_the_last_step_that_changed_it(tmp_path):
+    # The preset moves vehicle_count off its default; the flags move the rest.
+    out = tmp_path / "fig8"
+    proc = _run("run", "--preset", "fig8", "--out", str(out), "--replications", "2",
+                "--slots", "8", "--seed", "12345", "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    log = (out / "run.log").read_text().splitlines()
+    assert "scene.vehicle_count = 4  # config" in log
+    assert "run.replications = 2  # override" in log
+    assert "run.seed = 12345  # default" in log  # the flag changed nothing
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("run.schemes = RM\nrun.gammas = 1\nrun.replications = 2\n"
+                   "run.slots = 8\nrun.seed = 7\n")
+    out = tmp_path / "cfg"
+    proc = _run("run", "--config", str(cfg), "--out", str(out), "--replications", "2",
+                "--seed", "12345", "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    log = (out / "run.log").read_text().splitlines()
+    assert "run.replications = 2  # config" in log  # equal to the configured value
+    assert "run.seed = 12345  # override" in log  # puts back the default the file changed
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"run.seed = 7\n# \xff\n")
+    out = tmp_path / "o"
+    for args in (("validate", "--config", str(cfg)),
+                 ("run", "--config", str(cfg), "--out", str(out))):
+        proc = _run(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: cannot read config file: ")
+        assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_run_is_deterministic_across_processes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -179,10 +214,11 @@ def test_out_naming_a_file_is_a_usage_error_before_any_cell(tmp_path):
 
 def test_validate_echoes_resolved_config(tmp_path):
     cfg = tmp_path / "v.cfg"
-    cfg.write_text("run.seed = 777\n")
+    cfg.write_text("run.seed = 777\nrun.slots = 400\n")
     proc = _run("validate", "--config", str(cfg))
     assert proc.returncode == 0, proc.stderr
     assert "run.seed = 777  # config" in proc.stdout
+    assert "run.slots = 400  # default" in proc.stdout  # set, but to its default
     assert "scene.object_count = 110  # default" in proc.stdout
     # The seed contract is a comment, so the listing still parses back.
     assert proc.stdout.splitlines()[0] == f"# seed_contract = {harness.SEED_CONTRACT}"

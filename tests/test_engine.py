@@ -23,18 +23,20 @@ def _fresh_state(seed, scheme=SchemeKind.BASELINE, gamma=10, vehicles=2,
     return new_sim_state(objects, fleet, relevance, config), rng, relevance
 
 
-def _semantic_state(detected, receiver_local, receiver_sent, k=30, width=1.0):
+def _semantic_state(detected, receiver_local, receiver_sent, k=30, width=1.0,
+                    scheme=SchemeKind.SEMANTIC):
     # Two static vehicles over k objects, both valuing every object at 0.9.
-    # Vehicle 0 transmits first and detects exactly the ids in `detected`
-    # (detection probabilities of 0 and 1); vehicle 1 holds the snapshot
-    # `receiver_local` and the still-valid message `receiver_sent`.
+    # Vehicle 0 transmits first under `scheme` with a budget of one and
+    # detects exactly the ids in `detected` (detection probabilities of 0
+    # and 1); vehicle 1 holds the snapshot `receiver_local` and the
+    # still-valid message `receiver_sent`.
     rng = np.random.default_rng(47)
     spec = ExperimentSpec(scene=SceneConfig(object_count=k, vehicle_count=2),
                           estimation=EstimationModel(value_range_width=width))
     values = np.full(k, 0.9)
     relevance = [RelevanceFunction.from_values(values, spec.relevance.s_min)] * 2
     objects, fleet = place_objects(spec.scene, rng), spawn_vehicles(spec.scene, rng)
-    state = new_sim_state(objects, fleet, relevance, EpisodeConfig(spec, SchemeKind.SEMANTIC, 1))
+    state = new_sim_state(objects, fleet, relevance, EpisodeConfig(spec, scheme, 1))
     state._probs[0] = np.isin(np.arange(k), detected).astype(float)
     state.knowledge.local[1] = receiver_local
     state.knowledge.sent[1] = receiver_sent
@@ -59,6 +61,29 @@ def test_semantic_eps_counts_the_transmitters_whole_known_set():
     model = state.config.spec.estimation
     assert eps == estimation_error(30, model)
     assert eps != estimation_error(1, model)
+
+
+# Object 0 is only in the receiver's unsent snapshot; object 1 is also in its
+# valid message, so the channel estimate holds 1 but not 0.
+UNSENT_AND_HEARD = dict(detected=[0, 1], receiver_local=0b11, receiver_sent=0b10)
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.RM, SchemeKind.IRC])
+def test_agnostic_schemes_treat_an_unsent_snapshot_id_as_fresh(scheme):
+    # RM drops the heard id 1; IRC, one over budget, sheds it first.  Both
+    # send 0, which the receiver already holds.
+    state, rng = _semantic_state(**UNSENT_AND_HEARD, scheme=scheme)
+    sent, _, known, _, _ = run_slot(state, rng)
+    assert known == [0b11]
+    assert sent == 0b01
+
+
+def test_ideal_semantic_skips_what_the_receiver_holds():
+    # The receiver's true known mask covers both ids, so nothing is worth sending.
+    state, rng = _semantic_state(**UNSENT_AND_HEARD, scheme=SchemeKind.IDEAL_SEMANTIC)
+    sent, _, known, _, _ = run_slot(state, rng)
+    assert known == [0b11]
+    assert sent == 0
 
 
 def _receivers(tx, n):

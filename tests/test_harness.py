@@ -21,7 +21,6 @@ from relevance_sim.engine import EpisodeConfig
 from relevance_sim.harness import (
     DEFAULT_GAMMAS,
     derive_rng,
-    parse_config_with_provenance,
     render_csv,
     resolved_config_lines,
     with_value,
@@ -319,17 +318,37 @@ def test_config_overrides_and_provenance():
     run.replications = 50   # quick look
     relevance.delta_L = 0.6
     """
-    spec, raw = parse_config_with_provenance(text)
+    spec = parse_config(text)
     assert spec.mode is Mode.BROADCAST
     assert spec.scene.vehicle_count == 4
     assert spec.gammas == (1, 2, 3, 4, 5, 6)
     assert spec.replications == 50
     assert spec.relevance.delta_L == 0.6
-    assert set(raw) == {"scene.vehicle_count", "run.gammas",
-                        "run.replications", "relevance.delta_L"}
-    lines = resolved_config_lines(spec, raw)
+    lines = resolved_config_lines(spec)
     assert "scene.vehicle_count = 4  # config" in lines
     assert "scene.width = 800.0  # default" in lines
+
+
+def test_a_preset_that_moves_a_value_flags_it_config():
+    lines = resolved_config_lines(preset("fig8"))
+    assert "scene.vehicle_count = 4  # config" in lines
+    assert "scene.width = 800.0  # default" in lines
+    assert all(line.endswith("  # default") for line in resolved_config_lines(preset("fig5")))
+
+
+def test_an_override_equal_to_the_configured_value_is_not_an_override():
+    configured = parse_config("run.seed = 7\n")
+    spec = with_value(configured, "run.seed", 7)
+    assert "run.seed = 7  # config" in resolved_config_lines(spec, configured)
+
+
+def test_an_override_that_restores_a_default_is_an_override():
+    configured = parse_config("run.replications = 50\nrun.seed = 7\n")
+    spec = with_value(configured, "run.replications", 200)
+    lines = resolved_config_lines(spec, configured)
+    assert "run.replications = 200  # override" in lines
+    assert "run.seed = 7  # config" in lines
+    assert "run.slots = 400  # default" in lines
 
 
 # Every key set to a value unlike its default and unlike every other key's,
@@ -373,9 +392,9 @@ def test_resolved_lines_parse_back_to_the_same_spec(spec):
 
 
 def test_each_key_reads_the_field_it_writes():
-    spec, raw = parse_config_with_provenance(ALL_KEYS)
+    spec = parse_config(ALL_KEYS)
     echoed = [f"{line}  # config" for line in ALL_KEYS.splitlines()]
-    assert resolved_config_lines(spec, raw) == echoed
+    assert resolved_config_lines(spec) == echoed
     assert spec.scene.detection_coeffs == (0.09, -0.07, 55.0)
     assert spec.relevance.high_range == (0.4, 0.9)
     assert spec.estimation.coeffs == (1.5, -0.4, 20.0)
