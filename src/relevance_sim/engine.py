@@ -25,13 +25,14 @@ slot first moves all vehicles one step in place (`advance_mobility` on the
 fleet) and then computes the transmitter's probabilities, which are never
 needed before; static episodes compute them once, before the first slot.
 The detection curve and the mobility mode are read from the run's
-`SceneConfig`.  Each transmitter's `ReceiverView` (its receivers, their
-value rows, and the ids below s_min for all of them) is built once too.
+`SceneConfig`.  Each transmitter's view of its receivers is built once too;
+`run_slot` returns only what the slot decided, and the episode loop reads the
+view's value rows and low mask itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -87,24 +88,6 @@ class EpisodeConfig:
     gamma: int
 
 
-class ReceiverView(NamedTuple):
-    """What a transmitter's message meets, fixed for the episode: the other
-    vehicles in ascending order, their value rows in that order, and the ids
-    valued below s_min by every one of them."""
-
-    receivers: tuple[int, ...]
-    values: list[tuple[float, ...]]
-    low: int
-
-    @staticmethod
-    def of(tx: int, relevance: list[RelevanceFunction]) -> ReceiverView:
-        receivers = tuple(r for r in range(len(relevance)) if r != tx)
-        low = -1
-        for r in receivers:
-            low &= relevance[r].low_mask
-        return ReceiverView(receivers, [relevance[r].values for r in receivers], low)
-
-
 @dataclass(slots=True)
 class SimState:
     """One episode in progress; the vehicles' current positions live in `fleet`."""
@@ -115,10 +98,12 @@ class SimState:
     fleet: Fleet
     # Hot-loop caches: the object positions as one (K, 2) array, each
     # vehicle's detection probabilities in a static episode (empty in a
-    # moving one), and each transmitter's receiver view.
+    # moving one), and per transmitter what its message meets, fixed for the
+    # episode: the other vehicles in ascending order, their value rows in that
+    # order, and the mask of ids valued below s_min by every one of them.
     _xy: np.ndarray = field(repr=False)
     _probs: list[np.ndarray] = field(repr=False)
-    _views: list[ReceiverView] = field(repr=False)
+    _views: list[tuple[tuple[int, ...], list[tuple[float, ...]], int]] = field(repr=False)
 
 
 def new_sim_state(
@@ -134,6 +119,13 @@ def new_sim_state(
     # A moving vehicle's probabilities are computed in run_slot, before each draw.
     static = scene.mobility_mode is MobilityMode.STATIC_EPISODE
     probs = [detection_probability_vector(p, xy, coeffs) for p in fleet.positions] if static else []
+    views = []
+    for tx in range(n):
+        receivers = tuple(r for r in range(n) if r != tx)
+        low = -1
+        for r in receivers:
+            low &= relevance[r].low_mask
+        views.append((receivers, [relevance[r].values for r in receivers], low))
     return SimState(
         slot=0,
         config=config,
@@ -141,19 +133,16 @@ def new_sim_state(
         fleet=fleet,
         _xy=xy,
         _probs=probs,
-        _views=[ReceiverView.of(tx, relevance) for tx in range(n)],
+        _views=views,
     )
 
 
-def run_slot(
-    state: SimState, rng: np.random.Generator
-) -> tuple[int, list[tuple[float, ...]], list[int], int, float | None]:
+def run_slot(state: SimState, rng: np.random.Generator) -> tuple[int, list[int], float | None]:
     """Advance `state` one slot in place: expiry, local refresh, selection, delivery.
 
-    Returns what the metrics need about the message: the mask of selected
-    ids, the receivers' value rows and their known masks just before
-    delivery (both in receiver order), the mask of ids below s_min for every
-    receiver, and the estimation error if the scheme used it, else None.
+    Returns what the slot decided: the mask of selected ids, the receivers'
+    known masks just before delivery (in receiver order), and the estimation
+    error if the scheme used it, else None.
     """
     t = state.slot
     config = state.config
@@ -174,7 +163,7 @@ def run_slot(
     local = mask_of(sample_hits(probs, rng))
     kb.local[tx] = local
 
-    receivers, values, low = state._views[tx]
+    receivers, values, _ = state._views[tx]
     known = [kb.known_mask(r) for r in receivers]
     est_known = estimate_receiver_known(kb.sent, tx)
     scheme, gamma, s_min = config.scheme, config.gamma, spec.relevance.s_min
@@ -198,7 +187,7 @@ def run_slot(
     assert len(selected) <= gamma and sent & ~local == 0
     kb.sent[tx] = sent
     state.slot = t + 1
-    return sent, values, known, low, eps
+    return sent, known, eps
 
 
 def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> MetricsAccumulator:
@@ -219,13 +208,14 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
     acc = MetricsAccumulator(spec.sv_aggregation)
     record_tx = acc.record_transmission
     record_hrr = acc.record_awareness_snapshot
-    knowledge = state.knowledge
+    knowledge, views = state.knowledge, state._views
     for t in range(spec.slots_per_episode):
-        sent, values, known, low, eps = run_slot(state, rng)
+        sent, known, eps = run_slot(state, rng)
         if t < n:
             continue
-        record_tx(sent, values, known, low, config.gamma, eps)
         tx = t % n
+        _, values, low = views[tx]
+        record_tx(sent, values, known, low, config.gamma, eps)
         after = [mask | sent for mask in known]
         after.insert(tx, knowledge.known_mask(tx))
         for mask, rel in zip(after, relevance):

@@ -69,6 +69,19 @@ def test_config_file_that_is_not_utf8_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfrun.replications = 2\nrun.slots = 8\n"
+                    b"run.schemes = RM\nrun.gammas = 1\n")
+    proc = _run("validate", "--config", str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert "run.replications = 2  # config" in proc.stdout.splitlines()
+    out = tmp_path / "o"
+    proc = _run("run", "--config", str(cfg), "--out", str(out), "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "results.csv").read_text().splitlines()[1].startswith("unicast,RM,1,2,")
+
+
 def test_run_is_deterministic_across_processes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -47,7 +47,7 @@ def test_semantic_does_not_see_the_receivers_unsent_snapshot():
     # Object 0 is in both snapshots but was never transmitted, so the channel
     # estimate cannot know the receiver holds it: Semantic still sends it.
     state, rng = _semantic_state(detected=[0], receiver_local=1, receiver_sent=0, width=1e-9)
-    sent, _, known, _, _ = run_slot(state, rng)
+    sent, known, _ = run_slot(state, rng)
     assert known == [1]
     assert sent == 1
 
@@ -57,7 +57,7 @@ def test_semantic_eps_counts_the_transmitters_whole_known_set():
     # receiver's valid message, none of which it detected itself.
     heard = (1 << 30) - 2
     state, rng = _semantic_state(detected=[0], receiver_local=heard, receiver_sent=heard)
-    _, _, _, _, eps = run_slot(state, rng)
+    _, _, eps = run_slot(state, rng)
     model = state.config.spec.estimation
     assert eps == estimation_error(30, model)
     assert eps != estimation_error(1, model)
@@ -73,7 +73,7 @@ def test_agnostic_schemes_treat_an_unsent_snapshot_id_as_fresh(scheme):
     # RM drops the heard id 1; IRC, one over budget, sheds it first.  Both
     # send 0, which the receiver already holds.
     state, rng = _semantic_state(**UNSENT_AND_HEARD, scheme=scheme)
-    sent, _, known, _, _ = run_slot(state, rng)
+    sent, known, _ = run_slot(state, rng)
     assert known == [0b11]
     assert sent == 0b01
 
@@ -81,7 +81,7 @@ def test_agnostic_schemes_treat_an_unsent_snapshot_id_as_fresh(scheme):
 def test_ideal_semantic_skips_what_the_receiver_holds():
     # The receiver's true known mask covers both ids, so nothing is worth sending.
     state, rng = _semantic_state(**UNSENT_AND_HEARD, scheme=SchemeKind.IDEAL_SEMANTIC)
-    sent, _, known, _, _ = run_slot(state, rng)
+    sent, known, _ = run_slot(state, rng)
     assert known == [0b11]
     assert sent == 0
 
@@ -96,10 +96,12 @@ def test_round_robin_transmitter_order():
         rows = [rel.values for rel in rels]
         for t in range(3 * vehicles):
             before = list(state.knowledge.local)
-            _, values, _, _, _ = run_slot(state, rng)
+            run_slot(state, rng)
             assert state.slot == t + 1
             # The message goes to every vehicle but t % vehicles ...
-            assert values == [rows[r] for r in _receivers(t % vehicles, vehicles)]
+            receivers, values, _ = state._views[t % vehicles]
+            assert receivers == tuple(_receivers(t % vehicles, vehicles))
+            assert values == [rows[r] for r in receivers]
             # ... which is the only one to refresh its snapshot.
             for v in _receivers(t % vehicles, vehicles):
                 assert state.knowledge.local[v] == before[v]
@@ -121,7 +123,7 @@ def test_expiry_boundary_is_one_full_cycle():
             assert kb.sent[tx] == messages[tx]
             for r in _receivers(tx, n):
                 assert messages[tx] & ~kb.known_mask(r) == 0
-        _, _, known, _, _ = run_slot(state, rng)
+        _, known, _ = run_slot(state, rng)
         # Exactly one cycle old: gone at the start of the sender's slot, so
         # each receiver's mask before delivery holds only its own snapshot and
         # the other senders' messages.
@@ -141,7 +143,7 @@ def test_delivery_is_lossless_and_history_matches():
     kb = state.knowledge
     for t in range(12):
         tx = t % 4
-        sent, _, _, _, _ = run_slot(state, rng)
+        sent, _, _ = run_slot(state, rng)
         assert kb.sent[tx] == sent
         for r in _receivers(tx, 4):
             assert kb.sent[tx] & ~kb.known_mask(r) == 0
@@ -161,7 +163,7 @@ def test_budget_and_locality_hold_every_slot():
     for scheme in SchemeKind:
         state, rng, _ = _fresh_state(34, scheme=scheme, gamma=4, vehicles=2)
         for t in range(40):
-            sent, _, _, _, _ = run_slot(state, rng)
+            sent, _, _ = run_slot(state, rng)
             assert sent.bit_count() <= 4
             assert sent & ~state.knowledge.local[t % 2] == 0
 
@@ -172,7 +174,7 @@ def test_known_set_is_local_union_valid_entries():
     kb = state.knowledge
     history = {}  # sender -> (message ids, slot)
     for t in range(20):
-        sent, _, _, _, _ = run_slot(state, rng)
+        sent, _, _ = run_slot(state, rng)
         history[t % n] = (ids_of(sent), t)
         for v in range(n):
             valid = set(ids_of(kb.local[v]))
@@ -197,7 +199,7 @@ def test_redundancy_flags_match_receiver_state_before_delivery():
                 if s not in (r, tx):
                     mask |= kb.sent[s]
             snapshot.append(mask)
-        _, _, known, _, _ = run_slot(state, rng)
+        _, known, _ = run_slot(state, rng)
         assert known == snapshot
 
 
@@ -208,8 +210,9 @@ def test_receiver_view_and_knowledge_after_delivery():
     state, rng, rels = _fresh_state(44, vehicles=n, gamma=5)
     kb = state.knowledge
     for t in range(12):
-        sent, _, known, low, _ = run_slot(state, rng)
+        sent, known, _ = run_slot(state, rng)
         receivers = _receivers(t % n, n)
+        _, _, low = state._views[t % n]
         for r, mask in zip(receivers, known):
             assert mask | sent == kb.known_mask(r)
         want = [k for k in range(len(rels[0].values))
@@ -220,7 +223,8 @@ def test_receiver_view_and_knowledge_after_delivery():
 def test_true_values_are_receiver_relevances():
     state, rng, rels = _fresh_state(37, vehicles=4, gamma=5)
     for t in range(8):
-        sent, values, _, _, _ = run_slot(state, rng)
+        sent, _, _ = run_slot(state, rng)
+        _, values, _ = state._views[t % 4]
         for r, row in zip(_receivers(t % 4, 4), values):
             for k in ids_of(sent):
                 assert row[k] == rels[r].values[k]
@@ -230,7 +234,7 @@ def test_eps_reported_only_for_estimating_scheme():
     for scheme, expect in ((SchemeKind.SEMANTIC, True), (SchemeKind.BASELINE, False),
                            (SchemeKind.IDEAL_SEMANTIC, False)):
         state, rng, _ = _fresh_state(38, scheme=scheme)
-        _, _, _, _, eps = run_slot(state, rng)
+        _, _, eps = run_slot(state, rng)
         assert (eps is not None) == expect
 
 
@@ -241,7 +245,7 @@ def test_all_low_relevance_yields_empty_messages():
     state, rng, _ = _fresh_state(39, scheme=SchemeKind.IDEAL_SEMANTIC,
                               relevance_params=params)
     for t in range(6):
-        sent, _, _, _, _ = run_slot(state, rng)
+        sent, _, _ = run_slot(state, rng)
         assert sent == 0
         assert state.knowledge.sent[t % 2] == 0
 

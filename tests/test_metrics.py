@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relevance_sim import MetricsAccumulator
-from relevance_sim.engine import ReceiverView
 from relevance_sim.relevance import RelevanceFunction
 from relevance_sim.schemes import mask_of
 
@@ -19,8 +18,8 @@ def _message(variables, true_values, redundant, gamma, eps=None, receivers=(1,))
     """Arguments of `record_transmission` for one message from vehicle 0, from
     per-variable rows of true values and redundancy flags (one entry per
     receiver): the sent mask, each receiver's value row, its known mask
-    holding exactly the variables flagged redundant for it, and the receiver
-    view's mask of variables below s_min for every receiver."""
+    holding exactly the variables flagged redundant for it, and the mask of
+    variables below s_min for every receiver."""
     width = max(variables, default=0) + 1
     rows = [np.zeros(width) for _ in receivers]
     known = [0] * len(receivers)
@@ -29,10 +28,8 @@ def _message(variables, true_values, redundant, gamma, eps=None, receivers=(1,))
             rows[i][k] = w
             if red:
                 known[i] |= 1 << k
-    relevance = [RelevanceFunction.from_values(np.zeros(width), S_MIN)]
-    relevance += [RelevanceFunction.from_values(row, S_MIN) for row in rows]
-    view = ReceiverView.of(0, relevance)
-    return mask_of(variables), view.values, known, view.low, gamma, eps
+    values = [tuple(row.tolist()) for row in rows]
+    return mask_of(variables), values, known, _low_mask(rows), gamma, eps
 
 
 def test_redundant_variable_contributes_zero_value():
@@ -285,9 +282,11 @@ def _messages(draw):
 
 
 def _low_mask(rows):
-    relevance = [RelevanceFunction.from_values(np.zeros(UNIVERSE), S_MIN)]
-    relevance += [RelevanceFunction.from_values(np.array(row), S_MIN) for row in rows]
-    return ReceiverView.of(0, relevance).low
+    # The ids every receiver values below s_min: the AND of their low masks.
+    low = -1
+    for row in rows:
+        low &= RelevanceFunction.from_values(np.array(row), S_MIN).low_mask
+    return low
 
 
 @settings(max_examples=200, deadline=None)
