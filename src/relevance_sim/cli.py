@@ -84,7 +84,11 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     # `--out` is made only after the sweep, so refuse first a path that cannot
-    # become a directory: one whose nearest existing part is not a directory.
+    # become a directory: an empty one, or one whose nearest existing part is
+    # not a directory.
+    if not args.out:
+        print("error: --out must not be empty", file=sys.stderr)
+        return USAGE_ERROR
     existing = os.path.abspath(args.out)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)

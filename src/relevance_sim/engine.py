@@ -1,9 +1,11 @@
 """Time-slotted round-robin communication loop.
 
-Each slot one vehicle transmits: it refreshes its local perception snapshot,
-the active scheme picks at most gamma variables, and the message reaches every
-other vehicle over an error-free channel.  A received message stays valid for
-one full communication cycle (N slots).
+The episode loop owns the schedule: slot t belongs to vehicle t % N, and the
+first N slots are warm-up.  `run_slot(state, tx, rng)` knows neither: tx
+refreshes its local perception snapshot, the active scheme picks at most
+gamma variables, and the message reaches every other vehicle over an
+error-free channel.  A received message stays valid for one full
+communication cycle (N slots).
 
 Knowledge is held once, as int bitmasks over object ids (K is small):
 `local[v]` is vehicle v's latest snapshot and `sent[s]` sender s's latest
@@ -26,8 +28,7 @@ fleet) and then computes the transmitter's probabilities, which are never
 needed before; static episodes compute them once, before the first slot.
 The detection curve and the mobility mode are read from the run's
 `SceneConfig`.  Each transmitter's view of its receivers is built once too;
-`run_slot` returns only what the slot decided, and the episode loop reads the
-view's value rows and low mask itself.
+`run_slot` returns only what the slot decided, and the loop reads the view.
 """
 from __future__ import annotations
 
@@ -92,7 +93,6 @@ class EpisodeConfig:
 class SimState:
     """One episode in progress; the vehicles' current positions live in `fleet`."""
 
-    slot: int
     config: EpisodeConfig
     knowledge: KnowledgeBase
     fleet: Fleet
@@ -127,7 +127,6 @@ def new_sim_state(
             low &= relevance[r].low_mask
         views.append((receivers, [relevance[r].values for r in receivers], low))
     return SimState(
-        slot=0,
         config=config,
         knowledge=KnowledgeBase(local=[0] * n, sent=[0] * n),
         fleet=fleet,
@@ -137,17 +136,15 @@ def new_sim_state(
     )
 
 
-def run_slot(state: SimState, rng: np.random.Generator) -> tuple[int, list[int], float | None]:
-    """Advance `state` one slot in place: expiry, local refresh, selection, delivery.
+def run_slot(state: SimState, tx: int, rng: np.random.Generator) -> tuple[int, list[int], float | None]:
+    """Run vehicle tx's slot on `state` in place: expiry, refresh, selection, delivery.
 
     Returns what the slot decided: the mask of selected ids, the receivers'
     known masks just before delivery (in receiver order), and the estimation
     error if the scheme used it, else None.
     """
-    t = state.slot
     config = state.config
     kb = state.knowledge
-    tx = t % len(kb.sent)
     kb.sent[tx] = 0  # one full cycle old: expires before tx sends again
 
     spec = config.spec
@@ -186,7 +183,6 @@ def run_slot(state: SimState, rng: np.random.Generator) -> tuple[int, list[int],
     sent = mask_of(selected)
     assert len(selected) <= gamma and sent & ~local == 0
     kb.sent[tx] = sent
-    state.slot = t + 1
     return sent, known, eps
 
 
@@ -210,10 +206,10 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
     record_hrr = acc.record_awareness_snapshot
     knowledge, views = state.knowledge, state._views
     for t in range(spec.slots_per_episode):
-        sent, known, eps = run_slot(state, rng)
+        tx = t % n
+        sent, known, eps = run_slot(state, tx, rng)
         if t < n:
             continue
-        tx = t % n
         _, values, low = views[tx]
         record_tx(sent, values, known, low, config.gamma, eps)
         after = [mask | sent for mask in known]

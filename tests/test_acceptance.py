@@ -1,22 +1,26 @@
 """Full-scale acceptance checks.
 
-Each test covers one numbered behavioural requirement, prints a single
+Each numbered test covers one behavioural requirement, prints a single
 PASS/FAIL line with the measured values straight to the terminal, and then
-asserts. The two full sweeps (five schemes x 25 budgets x 200 replications x
-400 slots, for the two-vehicle and four-vehicle topologies) are shared
-module-scoped fixtures; expect several minutes of wall time on one core.
+asserts; the last test compares both sweeps with their reference files. The
+two full sweeps (five schemes x 25 budgets x 200 replications x 400 slots,
+for the two-vehicle and four-vehicle topologies) are shared module-scoped
+fixtures; expect several minutes of wall time on one core.
 """
 import itertools
 import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from equivalence import compare, read_cells
 from reference import sample_estimated_value, sample_local_set
 from relevance_sim import SchemeKind, preset, run_sweep
+from relevance_sim.harness import render_csv
 from relevance_sim.relevance import (
     RelevanceParams,
     build_relevance_functions,
@@ -333,3 +337,22 @@ def test_criterion_11_structural_properties(capsys):
             "selectors, redundancy disjointness, monotone estimation error, "
             "estimate interval containment, 30% high-relevance marginal, "
             "monotone agreement decay")
+
+
+def test_sweeps_match_the_seed_contract_1_reference(unicast, broadcast, capsys):
+    # Not a numbered criterion: the statistical-equivalence guard of
+    # tests/equivalence.py, which sets its bounds.  Both sides are read
+    # through the same 6-digit CSV.
+    scores = []
+    for name, table in (("fig5", unicast), ("fig8", broadcast)):
+        path = Path(__file__).parent / "data" / f"reference_{name}.csv"
+        reference = read_cells(path.read_text(encoding="utf-8"))
+        rows = read_cells(render_csv(list(table.values())))
+        scores += [(score, f"{name} {text}") for score, text in compare(reference, rows)]
+    scores.sort(key=lambda item: -item[0])
+    failed = [text for score, text in scores if score > 1]
+    with capsys.disabled():
+        print(f"\n[equivalence] {'FAIL' if failed else 'PASS'} — {len(scores)} comparisons "
+              f"with the seed-contract-1 reference, {len(failed)} outside their bound; "
+              f"worst |Δ|/bound {scores[0][0]:.3g}: {scores[0][1]}")
+    assert not failed, f"{len(failed)} outside their bound, worst first: {failed[:10]}"

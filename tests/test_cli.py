@@ -6,10 +6,14 @@ import sys
 from relevance_sim import cli, engine, harness
 
 BASE_CMD = [sys.executable, "-m", "relevance_sim"]
+# Where this process imported the package from, so that a child started in
+# another working directory runs the same code.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def _run(*args, cwd=None):
     env = dict(os.environ, RELEVANCE_SIM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
     return subprocess.run(BASE_CMD + list(args), capture_output=True, text=True,
                           env=env, cwd=cwd)
 
@@ -223,6 +227,14 @@ def test_out_naming_a_file_is_a_usage_error_before_any_cell(tmp_path):
         # One line: no traceback, no progress line.
         assert proc.stderr == f"error: --out {out} is not a directory\n"
     assert taken.read_text() == "keep me\n"
+    # An empty --out would resolve to the working directory until os.makedirs("").
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    proc = _run("run", "--preset", "fig5", "--out", "", "--replications", "1", "--slots", "4",
+                cwd=cwd)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: --out must not be empty\n"
+    assert not any(cwd.iterdir())
 
 
 def test_validate_echoes_resolved_config(tmp_path):

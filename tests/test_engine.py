@@ -5,6 +5,7 @@ import pytest
 
 from relevance_sim import ExperimentSpec, SchemeKind, engine
 from relevance_sim.engine import EpisodeConfig, new_sim_state, run_episode_accumulator, run_slot
+from relevance_sim.metrics import MetricsAccumulator
 from relevance_sim.relevance import RelevanceFunction, RelevanceParams, build_relevance_functions
 from relevance_sim.scenario import MobilityMode, SceneConfig, place_objects, spawn_vehicles
 from relevance_sim.schemes import EstimationModel, estimation_error, ids_of
@@ -47,7 +48,7 @@ def test_semantic_does_not_see_the_receivers_unsent_snapshot():
     # Object 0 is in both snapshots but was never transmitted, so the channel
     # estimate cannot know the receiver holds it: Semantic still sends it.
     state, rng = _semantic_state(detected=[0], receiver_local=1, receiver_sent=0, width=1e-9)
-    sent, known, _ = run_slot(state, rng)
+    sent, known, _ = run_slot(state, 0, rng)
     assert known == [1]
     assert sent == 1
 
@@ -57,7 +58,7 @@ def test_semantic_eps_counts_the_transmitters_whole_known_set():
     # receiver's valid message, none of which it detected itself.
     heard = (1 << 30) - 2
     state, rng = _semantic_state(detected=[0], receiver_local=heard, receiver_sent=heard)
-    _, _, eps = run_slot(state, rng)
+    _, _, eps = run_slot(state, 0, rng)
     model = state.config.spec.estimation
     assert eps == estimation_error(30, model)
     assert eps != estimation_error(1, model)
@@ -73,7 +74,7 @@ def test_agnostic_schemes_treat_an_unsent_snapshot_id_as_fresh(scheme):
     # RM drops the heard id 1; IRC, one over budget, sheds it first.  Both
     # send 0, which the receiver already holds.
     state, rng = _semantic_state(**UNSENT_AND_HEARD, scheme=scheme)
-    sent, known, _ = run_slot(state, rng)
+    sent, known, _ = run_slot(state, 0, rng)
     assert known == [0b11]
     assert sent == 0b01
 
@@ -81,7 +82,7 @@ def test_agnostic_schemes_treat_an_unsent_snapshot_id_as_fresh(scheme):
 def test_ideal_semantic_skips_what_the_receiver_holds():
     # The receiver's true known mask covers both ids, so nothing is worth sending.
     state, rng = _semantic_state(**UNSENT_AND_HEARD, scheme=SchemeKind.IDEAL_SEMANTIC)
-    sent, known, _ = run_slot(state, rng)
+    sent, known, _ = run_slot(state, 0, rng)
     assert known == [0b11]
     assert sent == 0
 
@@ -90,23 +91,29 @@ def _receivers(tx, n):
     return [r for r in range(n) if r != tx]
 
 
-def test_round_robin_transmitter_order():
+def test_round_robin_transmitter_order(monkeypatch):
+    # The episode loop alone owns the schedule: slot t goes to vehicle t % n,
+    # which is the only one to refresh its snapshot.
+    slot = engine.run_slot
     for vehicles in (2, 4):
-        state, rng, rels = _fresh_state(31, vehicles=vehicles)
-        rows = [rel.values for rel in rels]
-        for t in range(3 * vehicles):
+        txs = []
+
+        def recording_slot(state, tx, rng):
             before = list(state.knowledge.local)
-            run_slot(state, rng)
-            assert state.slot == t + 1
-            # The message goes to every vehicle but t % vehicles ...
-            receivers, values, _ = state._views[t % vehicles]
-            assert receivers == tuple(_receivers(t % vehicles, vehicles))
-            assert values == [rows[r] for r in receivers]
-            # ... which is the only one to refresh its snapshot.
-            for v in _receivers(t % vehicles, vehicles):
+            result = slot(state, tx, rng)
+            txs.append(tx)
+            for v in _receivers(tx, vehicles):
                 assert state.knowledge.local[v] == before[v]
+            return result
+
+        monkeypatch.setattr(engine, "run_slot", recording_slot)
+        spec = ExperimentSpec(scene=SceneConfig(vehicle_count=vehicles), relevance=PARAMS,
+                              slots_per_episode=3 * vehicles)
+        run_episode_accumulator(EpisodeConfig(spec, SchemeKind.BASELINE, 10),
+                                np.random.default_rng(31))
+        assert txs == [t % vehicles for t in range(3 * vehicles)]
     # In particular, slot 7 of a 4-vehicle run belongs to vehicle 3.
-    assert 7 % 4 == 3
+    assert txs[7] == 3
 
 
 def test_expiry_boundary_is_one_full_cycle():
@@ -123,7 +130,7 @@ def test_expiry_boundary_is_one_full_cycle():
             assert kb.sent[tx] == messages[tx]
             for r in _receivers(tx, n):
                 assert messages[tx] & ~kb.known_mask(r) == 0
-        _, known, _ = run_slot(state, rng)
+        _, known, _ = run_slot(state, tx, rng)
         # Exactly one cycle old: gone at the start of the sender's slot, so
         # each receiver's mask before delivery holds only its own snapshot and
         # the other senders' messages.
@@ -143,7 +150,7 @@ def test_delivery_is_lossless_and_history_matches():
     kb = state.knowledge
     for t in range(12):
         tx = t % 4
-        sent, _, _ = run_slot(state, rng)
+        sent, _, _ = run_slot(state, tx, rng)
         assert kb.sent[tx] == sent
         for r in _receivers(tx, 4):
             assert kb.sent[tx] & ~kb.known_mask(r) == 0
@@ -153,7 +160,7 @@ def test_sender_entry_changes_only_on_its_own_slots():
     state, rng, _ = _fresh_state(33, vehicles=4, gamma=3)
     for t in range(24):
         before = list(state.knowledge.sent)
-        run_slot(state, rng)
+        run_slot(state, t % 4, rng)
         for sender in range(4):
             if sender != t % 4:
                 assert state.knowledge.sent[sender] == before[sender]
@@ -163,7 +170,7 @@ def test_budget_and_locality_hold_every_slot():
     for scheme in SchemeKind:
         state, rng, _ = _fresh_state(34, scheme=scheme, gamma=4, vehicles=2)
         for t in range(40):
-            sent, _, _ = run_slot(state, rng)
+            sent, _, _ = run_slot(state, t % 2, rng)
             assert sent.bit_count() <= 4
             assert sent & ~state.knowledge.local[t % 2] == 0
 
@@ -174,7 +181,7 @@ def test_known_set_is_local_union_valid_entries():
     kb = state.knowledge
     history = {}  # sender -> (message ids, slot)
     for t in range(20):
-        sent, _, _ = run_slot(state, rng)
+        sent, _, _ = run_slot(state, t % n, rng)
         history[t % n] = (ids_of(sent), t)
         for v in range(n):
             valid = set(ids_of(kb.local[v]))
@@ -199,42 +206,64 @@ def test_redundancy_flags_match_receiver_state_before_delivery():
                 if s not in (r, tx):
                     mask |= kb.sent[s]
             snapshot.append(mask)
-        _, known, _ = run_slot(state, rng)
+        _, known, _ = run_slot(state, tx, rng)
         assert known == snapshot
 
 
-def test_receiver_view_and_knowledge_after_delivery():
-    # The episode loop reads a receiver's awareness as its known mask before
-    # delivery plus the message, and the low class from the receiver view.
+def _recorded_transmissions(monkeypatch, seed, vehicles, gamma, slots):
+    # One episode's relevance functions and, per counted slot, its transmitter
+    # with the value rows and low mask the loop hands `record_transmission`.
+    rels, calls = [], []
+    build, record = engine.build_relevance_functions, MetricsAccumulator.record_transmission
+
+    def capturing_build(*args):
+        rels.extend(build(*args))
+        return rels
+
+    def capturing_record(acc, sent, values, known, low, *rest):
+        # Counted slot i is slot n + i, which belongs to vehicle i % n.
+        calls.append((len(calls) % vehicles, values, low))
+        return record(acc, sent, values, known, low, *rest)
+
+    monkeypatch.setattr(engine, "build_relevance_functions", capturing_build)
+    monkeypatch.setattr(MetricsAccumulator, "record_transmission", capturing_record)
+    spec = ExperimentSpec(scene=SceneConfig(vehicle_count=vehicles), relevance=PARAMS,
+                          slots_per_episode=slots)
+    run_episode_accumulator(EpisodeConfig(spec, SchemeKind.BASELINE, gamma),
+                            np.random.default_rng(seed))
+    assert len(calls) == slots - vehicles  # the warm-up cycle records nothing
+    return rels, calls
+
+
+def test_receiver_view_and_knowledge_after_delivery(monkeypatch):
+    # A receiver's awareness after delivery is its known mask before delivery
+    # plus the message ...
     n = 4
-    state, rng, rels = _fresh_state(44, vehicles=n, gamma=5)
+    state, rng, _ = _fresh_state(44, vehicles=n, gamma=5)
     kb = state.knowledge
     for t in range(12):
-        sent, known, _ = run_slot(state, rng)
-        receivers = _receivers(t % n, n)
-        _, _, low = state._views[t % n]
-        for r, mask in zip(receivers, known):
+        sent, known, _ = run_slot(state, t % n, rng)
+        for r, mask in zip(_receivers(t % n, n), known):
             assert mask | sent == kb.known_mask(r)
+    # ... and the loop hands the metrics the ids below s_min for every receiver.
+    rels, calls = _recorded_transmissions(monkeypatch, 44, n, 5, 12)
+    for tx, _, low in calls:
         want = [k for k in range(len(rels[0].values))
-                if all(rels[r].values[k] < PARAMS.s_min for r in receivers)]
+                if all(rels[r].values[k] < PARAMS.s_min for r in _receivers(tx, n))]
         assert ids_of(low) == want
 
 
-def test_true_values_are_receiver_relevances():
-    state, rng, rels = _fresh_state(37, vehicles=4, gamma=5)
-    for t in range(8):
-        sent, _, _ = run_slot(state, rng)
-        _, values, _ = state._views[t % 4]
-        for r, row in zip(_receivers(t % 4, 4), values):
-            for k in ids_of(sent):
-                assert row[k] == rels[r].values[k]
+def test_true_values_are_receiver_relevances(monkeypatch):
+    rels, calls = _recorded_transmissions(monkeypatch, 37, 4, 5, 12)
+    for tx, values, _ in calls:
+        assert values == [rels[r].values for r in _receivers(tx, 4)]
 
 
 def test_eps_reported_only_for_estimating_scheme():
     for scheme, expect in ((SchemeKind.SEMANTIC, True), (SchemeKind.BASELINE, False),
                            (SchemeKind.IDEAL_SEMANTIC, False)):
         state, rng, _ = _fresh_state(38, scheme=scheme)
-        _, _, eps = run_slot(state, rng)
+        _, _, eps = run_slot(state, 0, rng)
         assert (eps is not None) == expect
 
 
@@ -245,7 +274,7 @@ def test_all_low_relevance_yields_empty_messages():
     state, rng, _ = _fresh_state(39, scheme=SchemeKind.IDEAL_SEMANTIC,
                               relevance_params=params)
     for t in range(6):
-        sent, _, _ = run_slot(state, rng)
+        sent, _, _ = run_slot(state, t % 2, rng)
         assert sent == 0
         assert state.knowledge.sent[t % 2] == 0
 
@@ -286,8 +315,8 @@ def test_constant_velocity_vehicles_move_during_episode():
     state, rng, _ = _fresh_state(45, vehicles=2, mobility=MobilityMode.CONSTANT_VELOCITY)
     start = list(state.fleet.positions)
     assert start == [track[:2] for track in state.fleet.tracks]  # each at its origin
-    for _ in range(50):
-        run_slot(state, rng)
+    for t in range(50):
+        run_slot(state, t % 2, rng)
     assert all(a != b for a, b in zip(state.fleet.positions, start))
 
 

@@ -2,6 +2,7 @@
 import dataclasses
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +400,16 @@ def test_each_key_reads_the_field_it_writes():
     assert spec.relevance.high_range == (0.4, 0.9)
     assert spec.estimation.coeffs == (1.5, -0.4, 20.0)
     assert spec.slots_per_episode == 24 and spec.master_seed == 99
+
+
+def test_readme_config_table_spells_out_every_key():
+    # The first column of README's `| key | default | meaning |` table.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    named = [name for row in table.splitlines()[1:]
+             for name in re.findall(r"`(\w+\.\w+)`", row.split("|")[1])]
+    assert len(named) == len(set(named))
+    assert set(named) == set(harness._KEYS)
 
 
 def test_mode_follows_vehicle_count():
