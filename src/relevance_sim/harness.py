@@ -58,8 +58,11 @@ class ExperimentSpec:
         `parse_config` and `run_sweep` call it, so nothing downstream checks
         configuration again.
         """
-        for key, (_, path) in _KEYS.items():
+        for key, (parser, path) in _KEYS.items():
             value = _get(self, path)
+            member, many, wording = _RETURNS[parser]
+            if not _is_returned(value, member, many):
+                raise ConfigError(f"{key} must be {wording}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
         for keys, accepts, rule in _RULES:
@@ -155,6 +158,8 @@ def _worker_count() -> int:
         except ValueError as e:
             raise ConfigError("RELEVANCE_SIM_THREADS must be an integer") from e
         return max(1, n)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -286,6 +291,24 @@ _KEYS: dict[str, tuple[Callable[[str], object], tuple[str | int, ...]]] = {
     "run.seed": (int, ("master_seed",)),
     "run.sv_aggregation": (str.strip, ("sv_aggregation",)),
 }
+
+
+# What each parser returns, as (type, whether a tuple of that type, wording).
+# `validate` refuses a value no parser could return; a bool is never a number.
+_RETURNS: dict[Callable[[str], object], tuple[type | tuple[type, ...], bool, str]] = {
+    float: ((int, float), False, "a number"),
+    int: (int, False, "an integer"),
+    str.strip: (str, False, "a string"),
+    _parse_mobility: (MobilityMode, False, "a MobilityMode"),
+    _parse_schemes: (SchemeKind, True, "a tuple of SchemeKind"),
+    _parse_gammas: (int, True, "a tuple of integers"),
+}
+
+
+def _is_returned(value: object, member: type | tuple[type, ...], many: bool) -> bool:
+    if many:
+        return isinstance(value, tuple) and all(_is_returned(v, member, False) for v in value)
+    return isinstance(value, member) and not isinstance(value, bool)
 
 
 # What a run accepts, as (keys, accepts, rule): `accepts` takes the values

@@ -1,8 +1,9 @@
 """The five message-content selection schemes behind one contract.
 
 Baseline, IRC and RM are content-agnostic (they never look at semantic
-values); Semantic ranks candidates by noisy estimated values; IdealSemantic
-ranks by true values with perfect receiver-state knowledge.
+values): RM is Baseline over the ids not estimated to be known, and IRC falls
+back to RM.  Semantic ranks candidates by noisy estimated values;
+IdealSemantic ranks by true values with perfect receiver-state knowledge.
 
 Selectors are pure functions of int bitmasks over object ids: `local` is the
 transmitter's snapshot, `est_known` the channel-derived estimate of what the
@@ -124,7 +125,7 @@ def select_irc(local: int, est_known: int, gamma: int, rng: np.random.Generator)
     Removing one redundant variable at a time until the budget fits is
     distributionally the same as dropping a uniform random excess-sized subset
     of the redundant ones, which is what we do.  If the message is still too
-    large once every redundant variable is gone, fall back to a random
+    large once every redundant variable is gone, fall back to RM: a random
     budget-sized subset of the non-redundant remainder.
     """
     ids = ids_of(local)
@@ -134,15 +135,12 @@ def select_irc(local: int, est_known: int, gamma: int, rng: np.random.Generator)
     redundant = ids_of(local & est_known)
     if excess <= len(redundant):
         return ids_of(local & ~mask_of(_random_subset(redundant, excess, rng)))
-    return _random_subset(ids_of(local & ~est_known), gamma, rng)
+    return select_rm(local, est_known, gamma, rng)
 
 
 def select_rm(local: int, est_known: int, gamma: int, rng: np.random.Generator) -> list[int]:
-    """Send only non-redundant variables, randomly thinned to the budget."""
-    candidate = ids_of(local & ~est_known)
-    if len(candidate) <= gamma:
-        return candidate
-    return _random_subset(candidate, gamma, rng)
+    """Baseline over the variables not estimated to be known."""
+    return select_baseline(local & ~est_known, gamma, rng)
 
 
 def _top_by_score(scored: list[tuple[float, int]], gamma: int) -> list[int]:

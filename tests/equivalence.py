@@ -23,6 +23,15 @@ The bounds are fixed here, from the sampling noise alone:
   Semantic at Γ >= 10, where ε is small and swings with the scene) and 2.7%
   for `tx_multiplicity`.  With 20% added for the error of a 60-replication
   estimate, 4.9 * sqrt(2) * (11.4%, 3.3%) gives the tolerances below.
+* Each (scheme, CI metric) curve is also pooled over its budgets:
+  Z = sum(z_i) / sqrt(n) with z_i = Δ_i / sqrt(se_a**2 + se_b**2) and
+  se = ci / 1.96, over the n budgets whose denominator is nonzero (the
+  per-cell check already holds the others to Δ = 0).  Each budget draws
+  from its own stream, so for two equivalent sweeps Z is standard normal,
+  and a shift that stays inside every cell's bound but leans one way along
+  the curve adds up.  A curve passes when |Z| <= Z_BOUND = 4.1: probability
+  4.1e-5 per curve, a family-wise false-alarm rate of 2e-3 over the 50
+  curves of the two grids (2 x 5 schemes x 5 metrics).
 """
 from __future__ import annotations
 
@@ -30,6 +39,7 @@ import csv
 import math
 
 K = 2.5
+Z_BOUND = 4.1
 CI_METRICS = ("hrr", "mean_sv", "lrr", "usage", "se")
 RELATIVE_TOLERANCE = {"mean_eps": 0.8, "tx_multiplicity": 0.25}
 LABELS = ("mode", "scheme", "gamma", "replications")
@@ -71,5 +81,26 @@ def compare(reference: dict, rows: dict) -> list[tuple[float, str]]:
             delta = abs(y - x)
             score = delta / bound if bound else (math.inf if delta else 0.0)
             out.append((score, f"{name} {metric}: {x:.6g} vs {y:.6g} (|Δ| {delta:.3g}, bound {bound:.3g})"))
+    out.sort(key=lambda item: -item[0])
+    return out
+
+
+def pooled(reference: dict, rows: dict) -> list[tuple[float, str]]:
+    """Every (scheme, CI metric) curve as (|Z| / Z_BOUND, description), worst
+    first; a score above 1 is a failure.  Only cells in both sweeps count, and
+    a curve with no budget to pool reads Z = 0."""
+    z: dict[tuple[str, str], list[float]] = {}
+    for cell in sorted(reference.keys() & rows.keys()):
+        a, b = reference[cell], rows[cell]
+        for metric in CI_METRICS:
+            terms = z.setdefault((cell[0], metric), [])
+            spread = math.hypot(a[f"{metric}_ci"] or 0.0, b[f"{metric}_ci"] or 0.0) / 1.96
+            if spread and None not in (a[metric], b[metric]):
+                terms.append((b[metric] - a[metric]) / spread)
+    out = []
+    for (scheme, metric), terms in z.items():
+        total = sum(terms) / math.sqrt(len(terms)) if terms else 0.0
+        out.append((abs(total) / Z_BOUND,
+                    f"{scheme} {metric} over {len(terms)} budgets: Z {total:+.3g} (bound {Z_BOUND})"))
     out.sort(key=lambda item: -item[0])
     return out

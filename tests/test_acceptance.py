@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equivalence import compare, read_cells
+from equivalence import compare, pooled, read_cells
 from reference import sample_estimated_value, sample_local_set
 from relevance_sim import SchemeKind, preset, run_sweep
 from relevance_sim.harness import render_csv
@@ -343,16 +343,19 @@ def test_sweeps_match_the_seed_contract_1_reference(unicast, broadcast, capsys):
     # Not a numbered criterion: the statistical-equivalence guard of
     # tests/equivalence.py, which sets its bounds.  Both sides are read
     # through the same 6-digit CSV.
-    scores = []
+    scores, curves = [], []
     for name, table in (("fig5", unicast), ("fig8", broadcast)):
         path = Path(__file__).parent / "data" / f"reference_{name}.csv"
         reference = read_cells(path.read_text(encoding="utf-8"))
         rows = read_cells(render_csv(list(table.values())))
         scores += [(score, f"{name} {text}") for score, text in compare(reference, rows)]
+        curves += [(score, f"{name} {text}") for score, text in pooled(reference, rows)]
     scores.sort(key=lambda item: -item[0])
-    failed = [text for score, text in scores if score > 1]
+    curves.sort(key=lambda item: -item[0])
+    failed = [text for score, text in scores + curves if score > 1]
     with capsys.disabled():
         print(f"\n[equivalence] {'FAIL' if failed else 'PASS'} — {len(scores)} comparisons "
-              f"with the seed-contract-1 reference, {len(failed)} outside their bound; "
-              f"worst |Δ|/bound {scores[0][0]:.3g}: {scores[0][1]}")
+              f"and {len(curves)} pooled curves with the seed-contract-1 reference, "
+              f"{len(failed)} outside their bound; worst |Δ|/bound {scores[0][0]:.3g}: "
+              f"{scores[0][1]}; worst |Z|/bound {curves[0][0]:.3g}: {curves[0][1]}")
     assert not failed, f"{len(failed)} outside their bound, worst first: {failed[:10]}"

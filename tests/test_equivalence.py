@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from equivalence import CI_METRICS, K, RELATIVE_TOLERANCE, compare, read_cells
+from equivalence import CI_METRICS, K, RELATIVE_TOLERANCE, Z_BOUND, compare, pooled, read_cells
 
 REFERENCE = read_cells((Path(__file__).parent / "data" / "reference_fig5.csv")
                        .read_text(encoding="utf-8"))
@@ -45,6 +45,29 @@ def test_a_shift_just_past_the_relative_tolerance_is_flagged(metric):
     assert not _failures(_shifted(metric, 0.99 * bound))
     failures = _failures(_shifted(metric, -1.01 * bound))
     assert len(failures) == 1 and failures[0].startswith(f"Semantic Γ=5 {metric}:")
+
+
+def test_the_reference_pools_to_zero_on_every_curve():
+    curves = pooled(REFERENCE, REFERENCE)
+    assert len(curves) == 5 * len(CI_METRICS) and curves[0][0] == 0.0
+
+
+@pytest.mark.parametrize("metric", CI_METRICS)
+def test_a_curve_leaning_one_way_inside_every_cell_fails_the_pooled_check(metric):
+    # Every budget of Semantic's curve moves by 0.6 of its per-cell bound:
+    # z = 0.6 * K * 1.96 = 2.94 at each, so Z = 2.94 * sqrt(n) is far past Z_BOUND.
+    rows = copy.deepcopy(REFERENCE)
+    n = 0
+    for (scheme, _), row in rows.items():
+        ci = row[f"{metric}_ci"]
+        if scheme == CELL[0] and ci:
+            row[metric] += 0.6 * K * math.hypot(ci, ci)
+            n += 1
+    assert not _failures(rows)
+    curves = pooled(REFERENCE, rows)
+    assert curves[0][1].startswith(f"Semantic {metric} over {n} budgets: ")
+    assert curves[0][0] * Z_BOUND == pytest.approx(0.6 * K * 1.96 * math.sqrt(n))
+    assert curves[0][0] > 1 and curves[1][0] == 0.0
 
 
 def test_a_missing_cell_or_metric_is_flagged_worst_first():

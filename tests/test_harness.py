@@ -164,6 +164,13 @@ def test_parallel_sweep_reports_each_cell_and_matches_serial(monkeypatch):
     assert [int(m[2]) for m in parsed] == list(range(1, 7))
 
 
+def test_default_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("RELEVANCE_SIM_THREADS", raising=False)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert harness._worker_count() == 1
+
+
 def test_worker_count_env_validation(monkeypatch):
     monkeypatch.setenv("RELEVANCE_SIM_THREADS", "not-a-number")
     with pytest.raises(ConfigError):
@@ -262,6 +269,42 @@ def test_each_range_rule_names_its_keys(keys, rejected, accepted):
     assert message.startswith(f"{keys[0]} must"), message
     assert all(key in message for key in keys), message
     _spec_with(accepted).validate()
+
+
+# Values of a type the key's parser could not return, set through
+# `dataclasses.replace`; each ran into an episode, or into a bare Python error,
+# before `validate` checked types.
+WRONG_TYPES = [
+    ("run.gammas", (1.5,)),
+    ("run.gammas", (True,)),
+    ("run.gammas", 5),
+    ("run.slots", 8.0),
+    ("run.seed", 1.5),
+    ("run.replications", 2.0),
+    ("run.schemes", ("Baseline",)),
+    ("scene.object_count", 10.0),
+    ("scene.vehicle_count", 3.0),
+    ("scene.mobility_mode", "static"),
+    ("scene.vehicle_speed", "14"),
+    ("scene.width", True),
+]
+
+
+@pytest.mark.parametrize("key, value", WRONG_TYPES,
+                         ids=[f"{key}={value!r}" for key, value in WRONG_TYPES])
+def test_a_value_of_the_wrong_type_is_refused_naming_its_key(key, value, monkeypatch):
+    def no_episode(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(harness, "run_episode_accumulator", no_episode)
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
+    spec = with_value(_tiny_spec(), key, value)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+        run_sweep(spec)
+
+
+def test_an_int_is_accepted_where_a_float_is_parsed():
+    with_value(preset("fig5"), "scene.vehicle_speed", 14).validate()
 
 
 # --- CSV ------------------------------------------------------------------------
@@ -406,10 +449,21 @@ def test_readme_config_table_spells_out_every_key():
     # The first column of README's `| key | default | meaning |` table.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
-    named = [name for row in table.splitlines()[1:]
-             for name in re.findall(r"`(\w+\.\w+)`", row.split("|")[1])]
+    named, defaults = [], []
+    for row in table.splitlines()[1:]:
+        keys = re.findall(r"`(\w+\.\w+)`", row.split("|")[1])
+        cell = row.split("|")[2].strip().replace("\u2212", "-")
+        named += keys
+        defaults += [cell] if len(keys) == 1 else [v.strip() for v in cell.split(",")]
     assert len(named) == len(set(named))
     assert set(named) == set(harness._KEYS)
+    # Each default cell, parsed as the config grammar parses the key, is the
+    # key's value in ExperimentSpec(); a row of several keys pairs them in order.
+    assert len(defaults) == len(named)
+    default = harness.ExperimentSpec()
+    for key, cell in zip(named, defaults):
+        parser, path = harness._KEYS[key]
+        assert parser(cell) == harness._get(default, path), (key, cell)
 
 
 def test_mode_follows_vehicle_count():

@@ -166,6 +166,37 @@ def test_rm_drops_all_estimated_redundant():
         assert len(out) == 2 and set(out) <= set(range(9))
 
 
+def _rm_written_out(local, est_known, gamma, rng):
+    # RM with its own random-subset rule, as it read before it became Baseline
+    # over the non-redundant ids.
+    candidate = ids_of(local & ~est_known)
+    return candidate if len(candidate) <= gamma else _random_subset(candidate, gamma, rng)
+
+
+def test_rm_is_baseline_over_non_redundant_and_irc_falls_back_to_rm():
+    # Same draws and same generator state on random instances: RM equals
+    # Baseline over `local & ~est_known`, and IRC equals RM whenever the
+    # non-redundant ids alone exceed the budget.
+    instances = np.random.default_rng(41)
+    fallbacks = 0
+    for seed in range(600):
+        local = int(instances.integers(0, 2**40))
+        est = int(instances.integers(0, 2**40))
+        gamma = int(instances.integers(1, 13))
+        rngs = [np.random.default_rng(seed) for _ in range(4)]
+        rm = select_rm(local, est, gamma, rngs[0])
+        assert rm == select_baseline(local & ~est, gamma, rngs[1])
+        assert rm == _rm_written_out(local, est, gamma, rngs[2])
+        states = [rngs[0].bit_generator.state, rngs[1].bit_generator.state,
+                  rngs[2].bit_generator.state]
+        if (local & ~est).bit_count() > gamma:
+            fallbacks += 1
+            assert select_irc(local, est, gamma, rngs[3]) == rm
+            states.append(rngs[3].bit_generator.state)
+        assert all(state == states[0] for state in states)
+    assert 100 <= fallbacks <= 500  # both branches of RM and the IRC fallback ran
+
+
 # --- semantic selector -------------------------------------------------------
 
 def _values_for(n_receivers, table):
