@@ -3,12 +3,13 @@ and the line-oriented configuration grammar."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -53,20 +54,12 @@ class ExperimentSpec:
         return Mode.UNICAST if self.scene.vehicle_count == 2 else Mode.BROADCAST
 
     def validate(self) -> None:
-        """The one check of what a run accepts; each error names its key(s).
-
-        `parse_config` and `run_sweep` call it, so nothing downstream checks
-        configuration again.
-        """
-        for key, (parser, path) in _KEYS.items():
-            value = _get(self, path)
-            member, many, wording = _RETURNS[parser]
-            if not _is_returned(value, member, many):
-                raise ConfigError(f"{key} must be {wording}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
+        """The one check of what a run accepts, naming the key(s) at fault: every
+        field must match its annotation before any of `_RULES` reads it.
+        `parse_config` and `run_sweep` call it; nothing downstream re-checks."""
+        _check_type(self, ExperimentSpec, ())
         for keys, accepts, rule in _RULES:
-            if not accepts(*(_get(self, _KEYS[key][1]) for key in keys)):
+            if not accepts(*(_get(self, _KEYS[key]) for key in keys)):
                 raise ConfigError(f"{keys[0]} must {rule}")
 
 
@@ -153,11 +146,9 @@ def _run_cell(episode: EpisodeConfig) -> SweepRow:
 def _worker_count() -> int:
     raw = os.environ.get("RELEVANCE_SIM_THREADS", "").strip()
     if raw:
-        try:
-            n = int(raw)
-        except ValueError as e:
-            raise ConfigError("RELEVANCE_SIM_THREADS must be an integer") from e
-        return max(1, n)
+        if not raw.isdecimal() or int(raw) < 1:
+            raise ConfigError(f"RELEVANCE_SIM_THREADS must be an integer >= 1, got {raw!r}")
+        return int(raw)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -259,56 +250,70 @@ def _parse_mobility(raw: str) -> MobilityMode:
     return table[raw]
 
 
-# key -> (parser, path).  The path is the attribute chain inside an
-# ExperimentSpec; a trailing int indexes a tuple field.
-_KEYS: dict[str, tuple[Callable[[str], object], tuple[str | int, ...]]] = {
-    "scene.width": (float, ("scene", "width")),
-    "scene.height": (float, ("scene", "height")),
-    "scene.object_count": (int, ("scene", "object_count")),
-    "scene.vehicle_count": (int, ("scene", "vehicle_count")),
-    "scene.mobility_mode": (_parse_mobility, ("scene", "mobility_mode")),
-    "scene.vehicle_speed": (float, ("scene", "vehicle_speed")),
-    "scene.slot_duration": (float, ("scene", "slot_duration")),
-    "scene.detection_a1": (float, ("scene", "detection_coeffs", 0)),
-    "scene.detection_a2": (float, ("scene", "detection_coeffs", 1)),
-    "scene.detection_a3": (float, ("scene", "detection_coeffs", 2)),
-    "relevance.delta_L": (float, ("relevance", "delta_L")),
-    "relevance.high_min": (float, ("relevance", "high_range", 0)),
-    "relevance.high_max": (float, ("relevance", "high_range", 1)),
-    "relevance.p": (float, ("relevance", "randomization_p")),
-    "relevance.rho_near": (float, ("relevance", "rho_near")),
-    "relevance.d_near": (float, ("relevance", "d_near")),
-    "relevance.d_far": (float, ("relevance", "d_far")),
-    "relevance.s_min": (float, ("relevance", "s_min")),
-    "estimation.a4": (float, ("estimation", "coeffs", 0)),
-    "estimation.a5": (float, ("estimation", "coeffs", 1)),
-    "estimation.a6": (float, ("estimation", "coeffs", 2)),
-    "estimation.value_range_width": (float, ("estimation", "value_range_width")),
-    "run.schemes": (_parse_schemes, ("schemes",)),
-    "run.gammas": (_parse_gammas, ("gammas",)),
-    "run.replications": (int, ("replications",)),
-    "run.slots": (int, ("slots_per_episode",)),
-    "run.seed": (int, ("master_seed",)),
-    "run.sv_aggregation": (str.strip, ("sv_aggregation",)),
+# key -> path inside an ExperimentSpec; the grammar reads it with `_PARSERS[key]`, else its field's type.
+_KEYS: dict[str, tuple[str | int, ...]] = {
+    "scene.width": ("scene", "width"),
+    "scene.height": ("scene", "height"),
+    "scene.object_count": ("scene", "object_count"),
+    "scene.vehicle_count": ("scene", "vehicle_count"),
+    "scene.mobility_mode": ("scene", "mobility_mode"),
+    "scene.vehicle_speed": ("scene", "vehicle_speed"),
+    "scene.slot_duration": ("scene", "slot_duration"),
+    "scene.detection_a1": ("scene", "detection_coeffs", 0),
+    "scene.detection_a2": ("scene", "detection_coeffs", 1),
+    "scene.detection_a3": ("scene", "detection_coeffs", 2),
+    "relevance.delta_L": ("relevance", "delta_L"),
+    "relevance.high_min": ("relevance", "high_range", 0),
+    "relevance.high_max": ("relevance", "high_range", 1),
+    "relevance.p": ("relevance", "randomization_p"),
+    "relevance.rho_near": ("relevance", "rho_near"),
+    "relevance.d_near": ("relevance", "d_near"),
+    "relevance.d_far": ("relevance", "d_far"),
+    "relevance.s_min": ("relevance", "s_min"),
+    "estimation.a4": ("estimation", "coeffs", 0),
+    "estimation.a5": ("estimation", "coeffs", 1),
+    "estimation.a6": ("estimation", "coeffs", 2),
+    "estimation.value_range_width": ("estimation", "value_range_width"),
+    "run.schemes": ("schemes",),
+    "run.gammas": ("gammas",),
+    "run.replications": ("replications",),
+    "run.slots": ("slots_per_episode",),
+    "run.seed": ("master_seed",),
+    "run.sv_aggregation": ("sv_aggregation",),
 }
+_PARSERS: dict[str, Callable[[str], object]] = {
+    "scene.mobility_mode": _parse_mobility, "run.schemes": _parse_schemes, "run.gammas": _parse_gammas}
+_hints = functools.cache(get_type_hints)  # resolves annotation strings, once per class
 
 
-# What each parser returns, as (type, whether a tuple of that type, wording).
-# `validate` refuses a value no parser could return; a bool is never a number.
-_RETURNS: dict[Callable[[str], object], tuple[type | tuple[type, ...], bool, str]] = {
-    float: ((int, float), False, "a number"),
-    int: (int, False, "an integer"),
-    str.strip: (str, False, "a string"),
-    _parse_mobility: (MobilityMode, False, "a MobilityMode"),
-    _parse_schemes: (SchemeKind, True, "a tuple of SchemeKind"),
-    _parse_gammas: (int, True, "a tuple of integers"),
-}
+def _parser(key: str) -> Callable[[str], object]:
+    hint: object = ExperimentSpec
+    for step in _KEYS[key]:
+        hint = get_args(hint)[step] if isinstance(step, int) else _hints(hint)[step]
+    return _PARSERS.get(key, hint)
 
 
-def _is_returned(value: object, member: type | tuple[type, ...], many: bool) -> bool:
-    if many:
-        return isinstance(value, tuple) and all(_is_returned(v, member, False) for v in value)
-    return isinstance(value, member) and not isinstance(value, bool)
+def _fits(value: object, hint: object) -> bool:
+    if isinstance(hint, type):
+        return isinstance(value, (int, float) if hint is float else hint) and not isinstance(value, bool)
+    args = get_args(hint)
+    if args[-1] is ...:
+        return isinstance(value, tuple) and all(_fits(v, args[0]) for v in value)
+    return isinstance(value, tuple) and len(value) == len(args)
+
+
+def _check_type(value: object, hint: object, path: tuple[str | int, ...]) -> None:
+    """Refuse `value` unless it fits the annotation `hint` (a float takes an int, a
+    bool is never a number), then check each dataclass field or fixed-tuple member
+    in turn.  The error names the config key at `path`, else the field path."""
+    args = () if isinstance(hint, type) else get_args(hint)
+    if not _fits(value, hint) or isinstance(value, float) and not math.isfinite(value):
+        name = next((k for k, p in _KEYS.items() if p == path), ".".join(map(str, path)))
+        must = "finite" if _fits(value, hint) else f"of type {hint if args else hint.__name__}"
+        raise ConfigError(f"{name} must be {must}, got {value!r}")
+    parts = _hints(hint).items() if is_dataclass(hint) else () if args[-1:] == (...,) else enumerate(args)
+    for step, sub in parts:
+        _check_type(_get(value, (step,)), sub, path + (step,))
 
 
 # What a run accepts, as (keys, accepts, rule): `accepts` takes the values
@@ -366,7 +371,7 @@ def _set(obj: object, values: dict[tuple[str | int, ...], object]) -> object:
 
 def with_value(spec: ExperimentSpec, key: str, value: object) -> ExperimentSpec:
     """A copy of `spec` with configuration key `key` set to the parsed `value`."""
-    return _set(spec, {_KEYS[key][1]: value})
+    return _set(spec, {_KEYS[key]: value})
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -382,11 +387,11 @@ def parse_config(text: str) -> ExperimentSpec:
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parser, path = _KEYS[key]
+        path = _KEYS[key]
         if path in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[path] = parser(raw_value)
+            values[path] = _parser(key)(raw_value)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
     spec = _set(ExperimentSpec(), values)
@@ -413,7 +418,7 @@ def resolved_config_lines(spec: ExperimentSpec, configured: ExperimentSpec | Non
     configured = spec if configured is None else configured
     default = ExperimentSpec()
     out = []
-    for key, (_, path) in _KEYS.items():
+    for key, path in _KEYS.items():
         value = _get(spec, path)
         if value != _get(configured, path):
             origin = "override"

@@ -208,13 +208,16 @@ def test_failing_episode_exits_4_naming_the_cell(tmp_path, monkeypatch, capsys):
 
 
 def test_bad_worker_count_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "abc")
-    out = tmp_path / "o"
-    code = cli.main(["run", "--preset", "fig5", "--out", str(out),
-                     "--replications", "2", "--slots", "20", "--quiet"])
-    assert code == cli.CONFIG_ERROR == 2
-    assert "config error: RELEVANCE_SIM_THREADS must be an integer" in capsys.readouterr().err
-    assert not out.exists()  # no empty --out left behind
+    # Not an integer, and integers that would leave no worker.
+    for raw in ("abc", "0", "-1"):
+        monkeypatch.setenv("RELEVANCE_SIM_THREADS", raw)
+        out = tmp_path / "o"
+        code = cli.main(["run", "--preset", "fig5", "--out", str(out),
+                         "--replications", "2", "--slots", "20", "--quiet"])
+        assert code == cli.CONFIG_ERROR == 2, raw
+        err = capsys.readouterr().err
+        assert f"config error: RELEVANCE_SIM_THREADS must be an integer >= 1, got {raw!r}" in err
+        assert not out.exists()  # no empty --out left behind
 
 
 def test_out_naming_a_file_is_a_usage_error_before_any_cell(tmp_path):

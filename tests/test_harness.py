@@ -290,16 +290,44 @@ WRONG_TYPES = [
 ]
 
 
-@pytest.mark.parametrize("key, value", WRONG_TYPES,
-                         ids=[f"{key}={value!r}" for key, value in WRONG_TYPES])
-def test_a_value_of_the_wrong_type_is_refused_naming_its_key(key, value, monkeypatch):
-    def no_episode(*args):
+@pytest.fixture
+def no_episode(monkeypatch):
+    def episode(*args):
         raise AssertionError("an episode ran")
 
-    monkeypatch.setattr(harness, "run_episode_accumulator", no_episode)
+    monkeypatch.setattr(harness, "run_episode_accumulator", episode)
     monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
+
+
+@pytest.mark.parametrize("key, value", WRONG_TYPES,
+                         ids=[f"{key}={value!r}" for key, value in WRONG_TYPES])
+def test_a_value_of_the_wrong_type_is_refused_naming_its_key(key, value, no_episode):
     spec = with_value(_tiny_spec(), key, value)
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+        run_sweep(spec)
+
+
+def _replace_in(spec, section, **changes):
+    return dataclasses.replace(spec, **{section: dataclasses.replace(getattr(spec, section), **changes)})
+
+
+# Malformed containers on the walk to a key's value, which only the Python API
+# can build; each escaped `validate` as a bare Python error or reached an episode.
+MALFORMED = [
+    ("scene.detection_coeffs", _replace_in(preset("fig5"), "scene", detection_coeffs=(0.08, -0.08))),
+    ("scene.detection_coeffs",
+     _replace_in(preset("fig5"), "scene", detection_coeffs=(0.08, -0.08, 60.0, 1.0))),
+    ("relevance.high_range", _replace_in(preset("fig5"), "relevance", high_range=0.5)),
+    ("scene", dataclasses.replace(preset("fig5"), scene=None)),
+    ("estimation.coeffs", _replace_in(preset("fig5"), "estimation", coeffs=[1.0, -0.5, 26.0])),
+]
+
+
+@pytest.mark.parametrize("field, spec", MALFORMED, ids=[
+    "two detection coefficients", "four detection coefficients", "scalar high_range",
+    "scene None", "estimation coeffs a list"])
+def test_a_malformed_field_is_refused_naming_its_path(field, spec, no_episode):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be "):
         run_sweep(spec)
 
 
@@ -457,13 +485,12 @@ def test_readme_config_table_spells_out_every_key():
         defaults += [cell] if len(keys) == 1 else [v.strip() for v in cell.split(",")]
     assert len(named) == len(set(named))
     assert set(named) == set(harness._KEYS)
-    # Each default cell, parsed as the config grammar parses the key, is the
-    # key's value in ExperimentSpec(); a row of several keys pairs them in order.
+    # Each default cell, read by the parser `parse_config` uses for the key, is
+    # the key's value in ExperimentSpec(); a row of several keys pairs them in order.
     assert len(defaults) == len(named)
     default = harness.ExperimentSpec()
     for key, cell in zip(named, defaults):
-        parser, path = harness._KEYS[key]
-        assert parser(cell) == harness._get(default, path), (key, cell)
+        assert harness._parser(key)(cell) == harness._get(default, harness._KEYS[key]), (key, cell)
 
 
 def test_mode_follows_vehicle_count():
