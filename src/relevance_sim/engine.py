@@ -186,9 +186,13 @@ def run_slot(state: SimState, tx: int, rng: np.random.Generator) -> tuple[int, l
     return sent, known, eps
 
 
-def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> MetricsAccumulator:
-    """Build one episode's scene, run the slot loop, accumulate metrics.
+def run_episode(objects: np.recarray, fleet: Fleet, relevance: list[RelevanceFunction],
+                config: EpisodeConfig, rng: np.random.Generator) -> MetricsAccumulator:
+    """Run the slot loop on the scene given and accumulate metrics.
 
+    The scene is what `place_objects`, `spawn_vehicles` and
+    `build_relevance_functions` return.  A constant-velocity episode moves
+    `fleet` in place, so running one scene twice takes a copy of its fleet.
     The first N slots are warm-up — every vehicle transmits once so estimated
     redundancy and expiry reach steady state — and contribute no samples.
     After delivery a receiver knows what it knew before plus the message, so
@@ -196,10 +200,7 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
     snapshots.
     """
     spec = config.spec
-    n = spec.scene.vehicle_count
-    objects = place_objects(spec.scene, rng)
-    fleet = spawn_vehicles(spec.scene, rng)
-    relevance = build_relevance_functions(len(objects), fleet.positions, spec.relevance, rng)
+    n = len(fleet.positions)
     state = new_sim_state(objects, fleet, relevance, config)
     acc = MetricsAccumulator(spec.sv_aggregation)
     record_tx = acc.record_transmission
@@ -217,3 +218,11 @@ def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> 
         for mask, rel in zip(after, relevance):
             record_hrr(mask, rel)
     return acc
+
+
+def run_episode_accumulator(config: EpisodeConfig, rng: np.random.Generator) -> MetricsAccumulator:
+    """Draw one episode's scene from `rng` (objects, vehicles, then relevance) and run it."""
+    objects = place_objects(config.spec.scene, rng)
+    fleet = spawn_vehicles(config.spec.scene, rng)
+    relevance = build_relevance_functions(len(objects), fleet.positions, config.spec.relevance, rng)
+    return run_episode(objects, fleet, relevance, config, rng)

@@ -81,27 +81,18 @@ class MetricsAccumulator:
             self.eps_count += 1
         self.tx_seen_mask |= sent
         self.low_count += (sent & low).bit_count()
-        # A variable every receiver already knows is worth 0.0, and adding
-        # 0.0 leaves the total unchanged: visit only the others, ascending.
-        known_to_all = -1
-        for mask in known:
-            known_to_all &= mask
         receivers = list(zip(values, known))
+        mean = self.sv_aggregation == "mean"
         sv_total = self.sv_total
-        if self.sv_aggregation == "mean":
-            for k in ids_of(sent & ~known_to_all):
-                total = 0.0
-                for row, mask in receivers:
-                    if not mask >> k & 1:
-                        total += row[k]
-                sv_total += total / len(receivers)
-        else:
-            for k in ids_of(sent & ~known_to_all):
-                best = 0.0
-                for row, mask in receivers:
-                    if not mask >> k & 1 and row[k] > best:
-                        best = row[k]
-                sv_total += best
+        for k in ids_of(sent):
+            total = best = 0.0
+            for row, mask in receivers:
+                if not mask >> k & 1:
+                    w = row[k]
+                    total += w
+                    if w > best:
+                        best = w
+            sv_total += total / len(receivers) if mean else best
         self.sv_total = sv_total
 
     def record_awareness_snapshot(self, known_mask: int, rel: RelevanceFunction) -> None:

@@ -4,9 +4,13 @@ The simulator only runs the vectorised or fused forms (the detection vector,
 the per-slot perception draw, the semantic selector's noisy scores); the
 one-at-a-time versions here state each rule plainly so the tests can check the
 program against them.  `unicast_budget_one` is a whole second implementation
-of one corner of the model, written from the README alone.
+of one corner of the model, written from the README alone, and
+`exact_episode_totals` another: the exact expectations of a static episode on
+a tiny scene.
 """
+import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -119,3 +123,135 @@ def unicast_budget_one(scheme, replications, slots, seed):
             value += np.where(chosen, gain, 0.0)
             variables += chosen
     return value, variables
+
+
+def _ids(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _subsets(mask, size):
+    """Every `size`-element subset of the ids in `mask`, as masks."""
+    return [sum(1 << i for i in c) for c in itertools.combinations(_ids(mask), size)]
+
+
+def _uniform_subset(mask, gamma):
+    # All of `mask` if it fits the budget, else a uniform gamma-subset of it.
+    if mask.bit_count() <= gamma:
+        return [(mask, 1.0)]
+    subsets = _subsets(mask, gamma)
+    return [(s, 1.0 / len(subsets)) for s in subsets]
+
+
+def _message_distribution(scheme, local, heard, known, rows, gamma, s_min):
+    """The messages a transmitter may send, as (mask, probability) pairs.
+
+    `local` is its fresh snapshot, `heard` the union of the valid messages of
+    the other vehicles (the channel's estimate of what the receivers hold),
+    and `known` and `rows` each receiver's true known mask and value row.
+    """
+    if scheme == "Baseline":  # a uniform gamma-subset of the snapshot
+        return _uniform_subset(local, gamma)
+    if scheme == "RM":  # Baseline over what the channel does not say is held
+        return _uniform_subset(local & ~heard, gamma)
+    if scheme == "IRC":  # shed heard ids at random while over budget, else RM
+        excess = local.bit_count() - gamma
+        if excess <= 0:
+            return [(local, 1.0)]
+        drops = _subsets(local & heard, excess)
+        if not drops:
+            return _uniform_subset(local & ~heard, gamma)
+        return [(local & ~d, 1.0 / len(drops)) for d in drops]
+    # IdealSemantic: the gamma best true values over the receivers, an id a
+    # receiver knows being worth nothing to it, above s_min only.  The test
+    # scenes have no two equal values, so no tie needs breaking.
+    scores = {}
+    for i in _ids(local):
+        score = max(0.0 if mask >> i & 1 else row[i] for mask, row in zip(known, rows))
+        if score > s_min:
+            scores[i] = score
+    best = sorted(scores, key=scores.get, reverse=True)[:gamma]
+    return [(sum(1 << i for i in best), 1.0)]
+
+
+def exact_episode_totals(probs, values, scheme, gamma, slots, aggregation, s_min):
+    """Exact expected episode totals of one static episode on a fixed scene.
+
+    `probs[v][k]` is the chance vehicle v detects object k in one snapshot and
+    `values[v][k]` is what object k is worth to v.  `scheme` is "Baseline",
+    "IRC", "RM" or "IdealSemantic".  Returns the expectations of the metric
+    totals: `messages`, `variables`, `usage_sum`, `low_count`, `sv_total`,
+    `hrr_sum` and `hrr_count`.
+
+    Written from the README's model, with no package code.  Slot t belongs
+    to vehicle t % N, which takes a fresh snapshot, picks at most gamma of
+    its detections and reaches every other vehicle.  A vehicle has no
+    snapshot before its first slot, and a message is valid until its sender
+    transmits again.  So a vehicle knows its latest snapshot and every other
+    vehicle's latest message.  The first N slots are warm-up and count
+    nothing.  The distribution of every vehicle's (snapshot, message) pair
+    is carried from slot to slot.  The transmitter's old pair plays no part
+    in its slot, since both are replaced, so it is summed out first.
+    """
+    n, k = len(values), len(values[0])
+    snapshots = []  # per vehicle: (snapshot mask, probability) for every snapshot
+    for p in probs:
+        outcomes = []
+        for mask in range(1 << k):
+            q = math.prod(p[i] if mask >> i & 1 else 1.0 - p[i] for i in range(k))
+            if q > 0.0:
+                outcomes.append((mask, q))
+        snapshots.append(outcomes)
+    # High relevance is a nonzero value.
+    high = [sum(1 << i for i in range(k) if row[i] > 0.0) for row in values]
+    aware = [v for v in range(n) if high[v]]
+    totals = dict.fromkeys(("variables", "usage_sum", "low_count", "sv_total", "hrr_sum"), 0.0)
+    totals["messages"] = totals["hrr_count"] = 0
+    dist = {((0, 0),) * n: 1.0}
+    for t in range(slots):
+        tx = t % n
+        receivers = [r for r in range(n) if r != tx]
+        rows = [values[r] for r in receivers]
+        low = sum(1 << i for i in range(k) if all(row[i] < s_min for row in rows))
+        counted = t >= n
+        if counted:
+            totals["messages"] += 1
+            totals["hrr_count"] += len(aware)
+        summed = defaultdict(float)
+        for state, p in dist.items():
+            summed[state[:tx] + ((0, 0),) + state[tx + 1:]] += p
+        dist = defaultdict(float)
+        for state, p in summed.items():
+            heard = 0
+            for _, sent in state:
+                heard |= sent
+            # A message is part of its sender's snapshot, so a vehicle knows
+            # its snapshot and every valid message.
+            known = [state[r][0] | heard for r in receivers]
+            for local, q in snapshots[tx]:
+                for sent, w in _message_distribution(scheme, local, heard, known, rows,
+                                                     gamma, s_min):
+                    after = state[:tx] + ((local, sent),) + state[tx + 1:]
+                    dist[after] += p * q * w
+                    if counted:
+                        _count(totals, p * q * w, after, sent, known, rows, low, high, aware,
+                               gamma, aggregation)
+    return totals
+
+
+def _count(totals, weight, state, sent, known, rows, low, high, aware, gamma, aggregation):
+    # One counted slot's metrics, weighted by the chance of this outcome.
+    size = sent.bit_count()
+    totals["variables"] += weight * size
+    totals["usage_sum"] += weight * size / gamma
+    totals["low_count"] += weight * (sent & low).bit_count()
+    value = 0.0
+    for i in _ids(sent):  # an id a receiver already knows is worth nothing to it
+        worth = [0.0 if mask >> i & 1 else row[i] for mask, row in zip(known, rows)]
+        value += max(worth) if aggregation == "max" else sum(worth) / len(worth)
+    totals["sv_total"] += weight * value
+    heard = 0
+    for _, m in state:
+        heard |= m
+    for v in aware:  # after delivery
+        mask = state[v][0] | heard
+        totals["hrr_sum"] += weight * (mask & high[v]).bit_count() / high[v].bit_count()

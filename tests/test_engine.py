@@ -4,22 +4,34 @@ import numpy as np
 import pytest
 
 from relevance_sim import ExperimentSpec, SchemeKind, engine
-from relevance_sim.engine import EpisodeConfig, new_sim_state, run_episode_accumulator, run_slot
+from relevance_sim.engine import (
+    EpisodeConfig,
+    new_sim_state,
+    run_episode,
+    run_episode_accumulator,
+    run_slot,
+)
 from relevance_sim.metrics import MetricsAccumulator
 from relevance_sim.relevance import RelevanceFunction, RelevanceParams, build_relevance_functions
-from relevance_sim.scenario import MobilityMode, SceneConfig, place_objects, spawn_vehicles
+from relevance_sim.scenario import Fleet, MobilityMode, SceneConfig, place_objects, spawn_vehicles
 from relevance_sim.schemes import EstimationModel, estimation_error, ids_of
 
 PARAMS = RelevanceParams()
 
 
+def _draw_scene(spec, rng):
+    # The scene as `run_episode_accumulator` draws it: objects, vehicles, relevance.
+    objects, fleet = place_objects(spec.scene, rng), spawn_vehicles(spec.scene, rng)
+    return objects, fleet, build_relevance_functions(len(objects), fleet.positions,
+                                                     spec.relevance, rng)
+
+
 def _fresh_state(seed, scheme=SchemeKind.BASELINE, gamma=10, vehicles=2,
                  relevance_params=PARAMS, mobility=MobilityMode.STATIC_EPISODE):
     rng = np.random.default_rng(seed)
-    cfg = SceneConfig(vehicle_count=vehicles, mobility_mode=mobility)
-    objects, fleet = place_objects(cfg, rng), spawn_vehicles(cfg, rng)
-    relevance = build_relevance_functions(len(objects), fleet.positions, relevance_params, rng)
-    spec = ExperimentSpec(scene=cfg, relevance=relevance_params, slots_per_episode=400)
+    spec = ExperimentSpec(scene=SceneConfig(vehicle_count=vehicles, mobility_mode=mobility),
+                          relevance=relevance_params, slots_per_episode=400)
+    objects, fleet, relevance = _draw_scene(spec, rng)
     config = EpisodeConfig(spec, scheme, gamma)
     return new_sim_state(objects, fleet, relevance, config), rng, relevance
 
@@ -213,24 +225,20 @@ def test_redundancy_flags_match_receiver_state_before_delivery():
 def _recorded_transmissions(monkeypatch, seed, vehicles, gamma, slots):
     # One episode's relevance functions and, per counted slot, its transmitter
     # with the value rows and low mask the loop hands `record_transmission`.
-    rels, calls = [], []
-    build, record = engine.build_relevance_functions, MetricsAccumulator.record_transmission
-
-    def capturing_build(*args):
-        rels.extend(build(*args))
-        return rels
+    calls = []
+    record = MetricsAccumulator.record_transmission
 
     def capturing_record(acc, sent, values, known, low, *rest):
         # Counted slot i is slot n + i, which belongs to vehicle i % n.
         calls.append((len(calls) % vehicles, values, low))
         return record(acc, sent, values, known, low, *rest)
 
-    monkeypatch.setattr(engine, "build_relevance_functions", capturing_build)
     monkeypatch.setattr(MetricsAccumulator, "record_transmission", capturing_record)
     spec = ExperimentSpec(scene=SceneConfig(vehicle_count=vehicles), relevance=PARAMS,
                           slots_per_episode=slots)
-    run_episode_accumulator(EpisodeConfig(spec, SchemeKind.BASELINE, gamma),
-                            np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    objects, fleet, rels = _draw_scene(spec, rng)
+    run_episode(objects, fleet, rels, EpisodeConfig(spec, SchemeKind.BASELINE, gamma), rng)
     assert len(calls) == slots - vehicles  # the warm-up cycle records nothing
     return rels, calls
 
@@ -319,6 +327,35 @@ def test_constant_velocity_vehicles_move_during_episode():
         run_slot(state, t % 2, rng)
     assert all(a != b for a, b in zip(state.fleet.positions, start))
 
+
+@pytest.mark.parametrize("mobility", list(MobilityMode))
+def test_run_episode_on_a_scene_drawn_by_hand_equals_run_episode_accumulator(mobility):
+    # Drawn in the order run_episode_accumulator draws it, the scene leaves
+    # the stream where the slot loop starts, so the two runs are one episode.
+    spec = ExperimentSpec(scene=SceneConfig(vehicle_count=3, mobility_mode=mobility),
+                          relevance=PARAMS, slots_per_episode=24)
+    config = EpisodeConfig(spec, SchemeKind.SEMANTIC, 4)
+    rng = np.random.default_rng(50)
+    by_hand = run_episode(*_draw_scene(spec, rng), config, rng)
+    drawn = run_episode_accumulator(config, np.random.default_rng(50))
+    assert by_hand.finalize() == drawn.finalize()
+    assert by_hand == drawn
+
+
+def test_a_moving_scene_runs_alike_on_copies_of_its_fleet():
+    # run_episode moves a moving fleet in place, so a scene run twice is run
+    # on a copy of its fleet each time.
+    spec = ExperimentSpec(
+        scene=SceneConfig(vehicle_count=3, mobility_mode=MobilityMode.CONSTANT_VELOCITY),
+        relevance=PARAMS, slots_per_episode=24)
+    config = EpisodeConfig(spec, SchemeKind.SEMANTIC, 4)
+    objects, fleet, relevance = _draw_scene(spec, np.random.default_rng(51))
+    runs = []
+    for _ in range(2):
+        copy = Fleet(list(fleet.positions), list(fleet.tracks))
+        runs.append(run_episode(objects, copy, relevance, config, np.random.default_rng(52)))
+        assert copy.positions != fleet.positions  # the copy moved, the scene's fleet did not
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("mobility", list(MobilityMode))
