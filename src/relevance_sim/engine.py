@@ -206,7 +206,7 @@ def run_episode(objects: np.recarray, fleet: Fleet, relevance: list[RelevanceFun
     record_tx = acc.record_transmission
     record_hrr = acc.record_awareness_snapshot
     knowledge, views = state.knowledge, state._views
-    for t in range(spec.slots_per_episode):
+    for t in range(spec.slots):
         tx = t % n
         sent, known, eps = run_slot(state, tx, rng)
         if t < n:

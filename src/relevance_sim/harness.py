@@ -9,7 +9,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
-from typing import Callable, get_args, get_type_hints
+from typing import Callable, Iterator, get_args, get_type_hints
 
 import numpy as np
 
@@ -38,14 +38,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    schemes: tuple[SchemeKind, ...] = tuple(SchemeKind)
-    gammas: tuple[int, ...] = DEFAULT_GAMMAS
-    replications: int = 200
-    slots_per_episode: int = 400
-    master_seed: int = 12345
     scene: SceneConfig = SceneConfig()
     relevance: RelevanceParams = RelevanceParams()
     estimation: EstimationModel = EstimationModel()
+    schemes: tuple[SchemeKind, ...] = tuple(SchemeKind)
+    gammas: tuple[int, ...] = DEFAULT_GAMMAS
+    replications: int = 200
+    slots: int = 400
+    seed: int = 12345
     sv_aggregation: str = "max"
 
     @property
@@ -75,9 +75,9 @@ def preset(name: str) -> ExperimentSpec:
     return ExperimentSpec(scene=SceneConfig(vehicle_count=vehicle_count))
 
 
-def derive_rng(master_seed: int, scheme: SchemeKind, gamma: int, replication: int) -> np.random.Generator:
+def derive_rng(seed: int, scheme: SchemeKind, gamma: int, replication: int) -> np.random.Generator:
     """Independent stream per episode from the injective key (seed, scheme, gamma, rep)."""
-    seq = np.random.SeedSequence([master_seed, SCHEME_INDEX[scheme], gamma, replication])
+    seq = np.random.SeedSequence([seed, SCHEME_INDEX[scheme], gamma, replication])
     return np.random.default_rng(seq)
 
 
@@ -123,7 +123,7 @@ def _run_cell(episode: EpisodeConfig) -> SweepRow:
     per_rep: list[MetricsRecord] = []
     for rep in range(spec.replications):
         try:
-            acc = run_episode_accumulator(episode, derive_rng(spec.master_seed, scheme, gamma, rep))
+            acc = run_episode_accumulator(episode, derive_rng(spec.seed, scheme, gamma, rep))
         except Exception as e:
             raise RuntimeError(
                 f"episode failed: scheme={scheme.value} gamma={gamma} replication={rep}"
@@ -250,70 +250,49 @@ def _parse_mobility(raw: str) -> MobilityMode:
     return table[raw]
 
 
-# key -> path inside an ExperimentSpec; the grammar reads it with `_PARSERS[key]`, else its field's type.
-_KEYS: dict[str, tuple[str | int, ...]] = {
-    "scene.width": ("scene", "width"),
-    "scene.height": ("scene", "height"),
-    "scene.object_count": ("scene", "object_count"),
-    "scene.vehicle_count": ("scene", "vehicle_count"),
-    "scene.mobility_mode": ("scene", "mobility_mode"),
-    "scene.vehicle_speed": ("scene", "vehicle_speed"),
-    "scene.slot_duration": ("scene", "slot_duration"),
-    "scene.detection_a1": ("scene", "detection_coeffs", 0),
-    "scene.detection_a2": ("scene", "detection_coeffs", 1),
-    "scene.detection_a3": ("scene", "detection_coeffs", 2),
-    "relevance.delta_L": ("relevance", "delta_L"),
-    "relevance.high_min": ("relevance", "high_range", 0),
-    "relevance.high_max": ("relevance", "high_range", 1),
-    "relevance.p": ("relevance", "randomization_p"),
-    "relevance.rho_near": ("relevance", "rho_near"),
-    "relevance.d_near": ("relevance", "d_near"),
-    "relevance.d_far": ("relevance", "d_far"),
-    "relevance.s_min": ("relevance", "s_min"),
-    "estimation.a4": ("estimation", "coeffs", 0),
-    "estimation.a5": ("estimation", "coeffs", 1),
-    "estimation.a6": ("estimation", "coeffs", 2),
-    "estimation.value_range_width": ("estimation", "value_range_width"),
-    "run.schemes": ("schemes",),
-    "run.gammas": ("gammas",),
-    "run.replications": ("replications",),
-    "run.slots": ("slots_per_episode",),
-    "run.seed": ("master_seed",),
-    "run.sv_aggregation": ("sv_aggregation",),
-}
 _PARSERS: dict[str, Callable[[str], object]] = {
     "scene.mobility_mode": _parse_mobility, "run.schemes": _parse_schemes, "run.gammas": _parse_gammas}
 _hints = functools.cache(get_type_hints)  # resolves annotation strings, once per class
 
 
+def _keys() -> Iterator[tuple[str, tuple[str, ...]]]:
+    for name, hint in _hints(ExperimentSpec).items():
+        if is_dataclass(hint):
+            for field in _hints(hint):
+                yield f"{name}.{field}", (name, field)
+        else:
+            yield f"run.{name}", (name,)
+
+
+# key -> path in an ExperimentSpec, in field order (`<section>.<field>` or
+# `run.<field>`); the grammar reads a key with `_PARSERS[key]`, else its field's type.
+_KEYS = dict(_keys())
+
+
 def _parser(key: str) -> Callable[[str], object]:
     hint: object = ExperimentSpec
     for step in _KEYS[key]:
-        hint = get_args(hint)[step] if isinstance(step, int) else _hints(hint)[step]
+        hint = _hints(hint)[step]
     return _PARSERS.get(key, hint)
 
 
 def _fits(value: object, hint: object) -> bool:
     if isinstance(hint, type):
         return isinstance(value, (int, float) if hint is float else hint) and not isinstance(value, bool)
-    args = get_args(hint)
-    if args[-1] is ...:
-        return isinstance(value, tuple) and all(_fits(v, args[0]) for v in value)
-    return isinstance(value, tuple) and len(value) == len(args)
+    return isinstance(value, tuple) and all(_fits(v, get_args(hint)[0]) for v in value)
 
 
-def _check_type(value: object, hint: object, path: tuple[str | int, ...]) -> None:
+def _check_type(value: object, hint: object, path: tuple[str, ...]) -> None:
     """Refuse `value` unless it fits the annotation `hint` (a float takes an int, a
-    bool is never a number), then check each dataclass field or fixed-tuple member
-    in turn.  The error names the config key at `path`, else the field path."""
-    args = () if isinstance(hint, type) else get_args(hint)
+    bool is never a number), then check each dataclass field in turn.  The error
+    names the config key at `path`, else the field path."""
     if not _fits(value, hint) or isinstance(value, float) and not math.isfinite(value):
-        name = next((k for k, p in _KEYS.items() if p == path), ".".join(map(str, path)))
-        must = "finite" if _fits(value, hint) else f"of type {hint if args else hint.__name__}"
+        name = next((k for k, p in _KEYS.items() if p == path), ".".join(path))
+        must = "finite" if _fits(value, hint) else f"of type {hint if get_args(hint) else hint.__name__}"
         raise ConfigError(f"{name} must be {must}, got {value!r}")
-    parts = _hints(hint).items() if is_dataclass(hint) else () if args[-1:] == (...,) else enumerate(args)
-    for step, sub in parts:
-        _check_type(_get(value, (step,)), sub, path + (step,))
+    if is_dataclass(hint):
+        for step, sub in _hints(hint).items():
+            _check_type(getattr(value, step), sub, path + (step,))
 
 
 # What a run accepts, as (keys, accepts, rule): `accepts` takes the values
@@ -352,20 +331,18 @@ _RULES: tuple[tuple[tuple[str, ...], Callable[..., bool], str], ...] = (
 )
 
 
-def _get(obj: object, path: tuple[str | int, ...]) -> object:
+def _get(obj: object, path: tuple[str, ...]) -> object:
     for step in path:
-        obj = obj[step] if isinstance(step, int) else getattr(obj, step)
+        obj = getattr(obj, step)
     return obj
 
 
-def _set(obj: object, values: dict[tuple[str | int, ...], object]) -> object:
+def _set(obj: object, values: dict[tuple[str, ...], object]) -> object:
     """A copy of `obj` with each path in `values` set, copying each part once."""
-    new: dict[str | int, object] = {}
+    new: dict[str, object] = {}
     for step in dict.fromkeys(path[0] for path in values):
         sub = {path[1:]: value for path, value in values.items() if path[0] == step}
-        new[step] = sub[()] if () in sub else _set(_get(obj, (step,)), sub)
-    if isinstance(obj, tuple):
-        return tuple(new.get(i, v) for i, v in enumerate(obj))
+        new[step] = sub[()] if () in sub else _set(getattr(obj, step), sub)
     return replace(obj, **new)
 
 
@@ -377,7 +354,7 @@ def with_value(spec: ExperimentSpec, key: str, value: object) -> ExperimentSpec:
 def parse_config(text: str) -> ExperimentSpec:
     """Parse the config document; every key it does not mention keeps its
     experiment default."""
-    values: dict[tuple[str | int, ...], object] = {}
+    values: dict[tuple[str, ...], object] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:

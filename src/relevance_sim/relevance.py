@@ -1,9 +1,9 @@
 """Per-vehicle contextual relevance functions.
 
 Each vehicle assigns every environment object a semantic value: exactly 0 for
-the low-relevance class, or a fresh draw from `high_range` for the high class.
-Class membership is correlated between vehicles as a function of distance to a
-reference vehicle, gated by an independent-redraw coin `randomization_p`.
+the low-relevance class, or a fresh draw from [high_min, high_max] for the
+high class.  Class membership is correlated between vehicles as a function of
+distance to a reference vehicle, gated by an independent-redraw coin `p`.
 """
 from __future__ import annotations
 
@@ -16,8 +16,9 @@ import numpy as np
 @dataclass(frozen=True)
 class RelevanceParams:
     delta_L: float = 0.7            # fraction of low-relevance (zero-value) objects
-    high_range: tuple[float, float] = (0.5, 1.0)
-    randomization_p: float = 0.5    # chance a vehicle's function is fully independent
+    high_min: float = 0.5           # high-class values are uniform in [high_min, high_max]
+    high_max: float = 1.0
+    p: float = 0.5                  # chance a vehicle's function is fully independent
     rho_near: float = 0.9
     d_near: float = 100.0
     d_far: float = 400.0
@@ -69,12 +70,12 @@ def build_relevance_functions(
 
     `positions` are the vehicles' spawn positions.  Vehicle 0 is the
     reference: its class vector is drawn i.i.d. with P(high) = 1 - delta_L.
-    Every other vehicle is either fully independent (probability
-    `randomization_p`) or copies the reference class per object with
-    probability rho(distance-to-reference), redrawing with the plain marginal
-    otherwise.  Both branches leave the per-object marginal at 1 - delta_L.
-    High-class values are always fresh uniform draws from `high_range`, so
-    only class membership carries the correlation.
+    Every other vehicle is either fully independent (probability `p`) or
+    copies the reference class per object with probability
+    rho(distance-to-reference), redrawing with the plain marginal otherwise.
+    Both branches leave the per-object marginal at 1 - delta_L.  High-class
+    values are always fresh uniform draws from [high_min, high_max], so only
+    class membership carries the correlation.
     """
     k = object_count
     p_high = 1.0 - params.delta_L
@@ -82,16 +83,15 @@ def build_relevance_functions(
     ref_high = rng.random(k) < p_high
     class_vectors = [ref_high]
     for x, y in positions[1:]:
-        if rng.random() < params.randomization_p:
+        if rng.random() < params.p:
             class_vectors.append(rng.random(k) < p_high)
             continue
         rho = correlation_coefficient(math.hypot(x - ref_x, y - ref_y), params)
         copy = rng.random(k) < rho
         redraw = rng.random(k) < p_high
         class_vectors.append(np.where(copy, ref_high, redraw))
-    lo, hi = params.high_range
     out = []
     for high in class_vectors:
-        values = np.where(high, rng.uniform(lo, hi, k), 0.0)
+        values = np.where(high, rng.uniform(params.high_min, params.high_max, k), 0.0)
         out.append(RelevanceFunction.from_values(values, params.s_min))
     return out

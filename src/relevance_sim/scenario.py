@@ -18,9 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-# Logistic detection-probability coefficients: P(d) = 1 / (1 + a1 * exp(-a2 * (d - a3)))
-DEFAULT_DETECTION_COEFFS = (0.08, -0.08, 60.0)
-
 
 class MobilityMode(Enum):
     STATIC_EPISODE = "static"
@@ -36,7 +33,14 @@ class SceneConfig:
     mobility_mode: MobilityMode = MobilityMode.STATIC_EPISODE
     vehicle_speed: float = 14.0
     slot_duration: float = 0.1
-    detection_coeffs: tuple[float, float, float] = DEFAULT_DETECTION_COEFFS
+    # Logistic detection probability: P(d) = 1 / (1 + a1 * exp(-a2 * (d - a3)))
+    detection_a1: float = 0.08
+    detection_a2: float = -0.08
+    detection_a3: float = 60.0
+
+    @property
+    def detection_coeffs(self) -> tuple[float, float, float]:
+        return (self.detection_a1, self.detection_a2, self.detection_a3)
 
 
 @np.errstate(over="ignore")  # where exp overflows, P = 1 / inf = 0, the curve's limit

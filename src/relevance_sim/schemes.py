@@ -24,9 +24,6 @@ from enum import Enum
 
 import numpy as np
 
-# Logistic estimation-error coefficients: eps(c) = 1 / (1 + a4 * exp(-a5 * (c - a6)))
-DEFAULT_ESTIMATION_COEFFS = (1.0, -0.5, 26.0)
-
 
 class SchemeKind(Enum):
     BASELINE = "Baseline"
@@ -42,7 +39,10 @@ SCHEME_INDEX = {kind: i for i, kind in enumerate(SchemeKind)}
 
 @dataclass(frozen=True)
 class EstimationModel:
-    coeffs: tuple[float, float, float] = DEFAULT_ESTIMATION_COEFFS
+    # Logistic estimation error: eps(c) = 1 / (1 + a4 * exp(-a5 * (c - a6)))
+    a4: float = 1.0
+    a5: float = -0.5
+    a6: float = 26.0
     value_range_width: float = 1.0  # max(w) - min(w) of the nominal value range
 
 
@@ -54,11 +54,10 @@ def estimation_error(known_count: int, model: EstimationModel) -> float:
     A steep curve saturates at its limit where the exponential overflows:
     0.0 for a4 > 0, and 1.0 everywhere for a4 = 0.
     """
-    a4, a5, a6 = model.coeffs
-    if a4 == 0:
+    if model.a4 == 0:
         return 1.0
     try:
-        return 1.0 / (1.0 + a4 * math.exp(-a5 * (known_count - a6)))
+        return 1.0 / (1.0 + model.a4 * math.exp(-model.a5 * (known_count - model.a6)))
     except OverflowError:
         return 0.0
 

@@ -23,7 +23,7 @@ README_MODEL = {
     "detection": (0.08, -0.08, 60.0),
     "delta_L": 0.7, "high": (0.5, 1.0), "p": 0.5,
     "rho_near": 0.9, "d_near": 100.0, "d_far": 400.0, "s_min": 0.05,
-    "estimation": (1.0, -0.5, 26.0), "value_range_width": 1.0,
+    "estimation": {"a4": 1.0, "a5": -0.5, "a6": 26.0}, "value_range_width": 1.0,
 }
 
 
@@ -90,7 +90,7 @@ def unicast_budget_one(scheme, replications, slots, seed):
     other = np.where(copy, ref, rng.random((r, k)) < p_high)
     w = np.where(np.stack([ref, other], axis=1), rng.uniform(*m["high"], (r, 2, k)), 0.0)
     # The noise width for each size of the transmitter's known set.
-    est = EstimationModel(m["estimation"])
+    est = EstimationModel(**m["estimation"])
     delta_of = m["value_range_width"] * np.array([estimation_error(c, est) for c in range(k + 1)])
 
     local = np.zeros((r, 2, k), dtype=bool)

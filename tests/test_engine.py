@@ -30,7 +30,7 @@ def _fresh_state(seed, scheme=SchemeKind.BASELINE, gamma=10, vehicles=2,
                  relevance_params=PARAMS, mobility=MobilityMode.STATIC_EPISODE):
     rng = np.random.default_rng(seed)
     spec = ExperimentSpec(scene=SceneConfig(vehicle_count=vehicles, mobility_mode=mobility),
-                          relevance=relevance_params, slots_per_episode=400)
+                          relevance=relevance_params, slots=400)
     objects, fleet, relevance = _draw_scene(spec, rng)
     config = EpisodeConfig(spec, scheme, gamma)
     return new_sim_state(objects, fleet, relevance, config), rng, relevance
@@ -120,7 +120,7 @@ def test_round_robin_transmitter_order(monkeypatch):
 
         monkeypatch.setattr(engine, "run_slot", recording_slot)
         spec = ExperimentSpec(scene=SceneConfig(vehicle_count=vehicles), relevance=PARAMS,
-                              slots_per_episode=3 * vehicles)
+                              slots=3 * vehicles)
         run_episode_accumulator(EpisodeConfig(spec, SchemeKind.BASELINE, 10),
                                 np.random.default_rng(31))
         assert txs == [t % vehicles for t in range(3 * vehicles)]
@@ -235,7 +235,7 @@ def _recorded_transmissions(monkeypatch, seed, vehicles, gamma, slots):
 
     monkeypatch.setattr(MetricsAccumulator, "record_transmission", capturing_record)
     spec = ExperimentSpec(scene=SceneConfig(vehicle_count=vehicles), relevance=PARAMS,
-                          slots_per_episode=slots)
+                          slots=slots)
     rng = np.random.default_rng(seed)
     objects, fleet, rels = _draw_scene(spec, rng)
     run_episode(objects, fleet, rels, EpisodeConfig(spec, SchemeKind.BASELINE, gamma), rng)
@@ -288,7 +288,7 @@ def test_all_low_relevance_yields_empty_messages():
 
 
 def test_episode_is_deterministic():
-    cfg = EpisodeConfig(ExperimentSpec(relevance=PARAMS, slots_per_episode=120),
+    cfg = EpisodeConfig(ExperimentSpec(relevance=PARAMS, slots=120),
                         SchemeKind.SEMANTIC, 7)
     a = run_episode_accumulator(cfg, np.random.default_rng(40)).finalize()
     b = run_episode_accumulator(cfg, np.random.default_rng(40)).finalize()
@@ -298,7 +298,7 @@ def test_episode_is_deterministic():
 
 
 def test_warm_up_excludes_first_cycle():
-    cfg = EpisodeConfig(ExperimentSpec(relevance=PARAMS, slots_per_episode=200),
+    cfg = EpisodeConfig(ExperimentSpec(relevance=PARAMS, slots=200),
                         SchemeKind.BASELINE, 5)
     acc = run_episode_accumulator(cfg, np.random.default_rng(42))
     # 200 slots minus a 2-slot warm-up: 99 counted messages per vehicle.
@@ -308,7 +308,7 @@ def test_warm_up_excludes_first_cycle():
 def test_unconstrained_baseline_sends_whole_local_set():
     # gamma = 25 exceeds typical local-set sizes, so the mean message size
     # reproduces the mean detection count (~15 objects).
-    cfg = EpisodeConfig(ExperimentSpec(relevance=PARAMS, slots_per_episode=400),
+    cfg = EpisodeConfig(ExperimentSpec(relevance=PARAMS, slots=400),
                         SchemeKind.BASELINE, 25)
     # Per-episode means swing widely with vehicle placement (a corner vehicle
     # sees far fewer objects), so average over a batch of scenes.
@@ -333,7 +333,7 @@ def test_run_episode_on_a_scene_drawn_by_hand_equals_run_episode_accumulator(mob
     # Drawn in the order run_episode_accumulator draws it, the scene leaves
     # the stream where the slot loop starts, so the two runs are one episode.
     spec = ExperimentSpec(scene=SceneConfig(vehicle_count=3, mobility_mode=mobility),
-                          relevance=PARAMS, slots_per_episode=24)
+                          relevance=PARAMS, slots=24)
     config = EpisodeConfig(spec, SchemeKind.SEMANTIC, 4)
     rng = np.random.default_rng(50)
     by_hand = run_episode(*_draw_scene(spec, rng), config, rng)
@@ -347,7 +347,7 @@ def test_a_moving_scene_runs_alike_on_copies_of_its_fleet():
     # on a copy of its fleet each time.
     spec = ExperimentSpec(
         scene=SceneConfig(vehicle_count=3, mobility_mode=MobilityMode.CONSTANT_VELOCITY),
-        relevance=PARAMS, slots_per_episode=24)
+        relevance=PARAMS, slots=24)
     config = EpisodeConfig(spec, SchemeKind.SEMANTIC, 4)
     objects, fleet, relevance = _draw_scene(spec, np.random.default_rng(51))
     runs = []
@@ -378,7 +378,7 @@ def test_detection_vectors_computed_only_where_drawn(monkeypatch, mobility):
     monkeypatch.setattr(engine, "detection_probability_vector", counting_detect)
     monkeypatch.setattr(engine, "sample_hits", recording_draw)
     spec = ExperimentSpec(scene=SceneConfig(vehicle_count=n, mobility_mode=mobility),
-                          relevance=PARAMS, slots_per_episode=slots)
+                          relevance=PARAMS, slots=slots)
     cfg = EpisodeConfig(spec, SchemeKind.BASELINE, 5)
     run_episode_accumulator(cfg, np.random.default_rng(46))
     assert len(drawn) == slots

@@ -25,7 +25,7 @@ from reference import detection_probability, exact_episode_totals
 from relevance_sim import ExperimentSpec, SchemeKind
 from relevance_sim.engine import EpisodeConfig, run_episode
 from relevance_sim.relevance import RelevanceFunction
-from relevance_sim.scenario import DEFAULT_DETECTION_COEFFS, Fleet, SceneConfig
+from relevance_sim.scenario import Fleet, SceneConfig
 
 Z_BOUND = 4.46
 EPISODES = 1000
@@ -55,7 +55,7 @@ SCENES = {
 
 
 def _probabilities(scene):
-    return [[detection_probability(math.dist(v, o), DEFAULT_DETECTION_COEFFS)
+    return [[detection_probability(math.dist(v, o), SceneConfig().detection_coeffs)
              for o in scene["objects"]] for v in scene["vehicles"]]
 
 
@@ -68,7 +68,7 @@ def _engine_totals(scene, scheme, gamma):
                   [(x, y, 1.0, 0.0, 1.0, 0.0) for x, y in scene["vehicles"]])
     relevance = [RelevanceFunction.from_values(np.array(row), S_MIN) for row in scene["values"]]
     spec = ExperimentSpec(scene=SceneConfig(object_count=k, vehicle_count=n),
-                          slots_per_episode=scene["slots"], sv_aggregation=scene["aggregation"])
+                          slots=scene["slots"], sv_aggregation=scene["aggregation"])
     config = EpisodeConfig(spec, SchemeKind(scheme), gamma)
     rng = np.random.default_rng(SEED)
     accs = [run_episode(objects, fleet, relevance, config, rng) for _ in range(EPISODES)]

@@ -30,8 +30,7 @@ from relevance_sim.harness import (
 
 def _tiny_spec(vehicle_count=2, **overrides):
     spec = preset("fig5" if vehicle_count == 2 else "fig8")
-    small = dict(schemes=(SchemeKind.RM,), gammas=(5,), replications=2,
-                 slots_per_episode=20)
+    small = dict(schemes=(SchemeKind.RM,), gammas=(5,), replications=2, slots=20)
     small.update(overrides)
     return dataclasses.replace(spec, **small)
 
@@ -181,10 +180,8 @@ def test_monte_carlo_consistency(monkeypatch):
     # Quadrupling the replication count must not move the means outside the
     # combined confidence intervals.
     monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
-    small = run_sweep(_tiny_spec(gammas=(10,), replications=100,
-                                 slots_per_episode=200))[0]
-    big = run_sweep(_tiny_spec(gammas=(10,), replications=400,
-                               slots_per_episode=200))[0]
+    small = run_sweep(_tiny_spec(gammas=(10,), replications=100, slots=200))[0]
+    big = run_sweep(_tiny_spec(gammas=(10,), replications=400, slots=200))[0]
     for metric in ("hrr", "se", "usage", "lrr"):
         gap = abs(getattr(small, metric) - getattr(big, metric))
         allowance = getattr(small, metric + "_ci") + getattr(big, metric + "_ci")
@@ -199,9 +196,9 @@ def test_spec_validation_errors():
     with pytest.raises(ConfigError, match=r"^run\.replications must"):
         _tiny_spec(replications=0).validate()
     with pytest.raises(ConfigError, match=r"^run\.slots must"):
-        _tiny_spec(slots_per_episode=3).validate()
+        _tiny_spec(slots=3).validate()
     with pytest.raises(ConfigError, match=r"^run\.seed must"):
-        _tiny_spec(master_seed=2**64).validate()
+        _tiny_spec(seed=2**64).validate()
     with pytest.raises(ConfigError, match=r"^run\.sv_aggregation must"):
         _tiny_spec(sv_aggregation="median").validate()
     # The config grammar cannot write an empty list, but the API can.
@@ -311,20 +308,19 @@ def _replace_in(spec, section, **changes):
     return dataclasses.replace(spec, **{section: dataclasses.replace(getattr(spec, section), **changes)})
 
 
-# Malformed containers on the walk to a key's value, which only the Python API
-# can build; each escaped `validate` as a bare Python error or reached an episode.
+# Malformed fields, which only the Python API can build: a section that is not
+# one, or a number field holding a container, a string or None.
 MALFORMED = [
-    ("scene.detection_coeffs", _replace_in(preset("fig5"), "scene", detection_coeffs=(0.08, -0.08))),
-    ("scene.detection_coeffs",
-     _replace_in(preset("fig5"), "scene", detection_coeffs=(0.08, -0.08, 60.0, 1.0))),
-    ("relevance.high_range", _replace_in(preset("fig5"), "relevance", high_range=0.5)),
+    ("scene.detection_a1", _replace_in(preset("fig5"), "scene", detection_a1=(0.08, -0.08))),
+    ("scene.detection_a3", _replace_in(preset("fig5"), "scene", detection_a3=None)),
+    ("relevance.high_min", _replace_in(preset("fig5"), "relevance", high_min="0.5")),
     ("scene", dataclasses.replace(preset("fig5"), scene=None)),
-    ("estimation.coeffs", _replace_in(preset("fig5"), "estimation", coeffs=[1.0, -0.5, 26.0])),
+    ("estimation.a4", _replace_in(preset("fig5"), "estimation", a4=[1.0, -0.5, 26.0])),
 ]
 
 
 @pytest.mark.parametrize("field, spec", MALFORMED, ids=[
-    "two detection coefficients", "four detection coefficients", "scalar high_range",
+    "two detection coefficients", "detection_a3 None", "high_min a string",
     "scene None", "estimation coeffs a list"])
 def test_a_malformed_field_is_refused_naming_its_path(field, spec, no_episode):
     with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be "):
@@ -457,9 +453,12 @@ run.sv_aggregation = mean
 """
 
 
-@pytest.mark.parametrize("spec", [preset("fig5"), preset("fig8"), parse_config(ALL_KEYS)],
-                         ids=["fig5", "fig8", "all-keys"])
-def test_resolved_lines_parse_back_to_the_same_spec(spec):
+# Built inside the test, so a grammar that refuses ALL_KEYS fails the test
+# rather than the module's collection.
+@pytest.mark.parametrize("make", [lambda: preset("fig5"), lambda: preset("fig8"),
+                                  lambda: parse_config(ALL_KEYS)], ids=["fig5", "fig8", "all-keys"])
+def test_resolved_lines_parse_back_to_the_same_spec(make):
+    spec = make()
     assert parse_config("\n".join(resolved_config_lines(spec))) == spec
 
 
@@ -467,10 +466,36 @@ def test_each_key_reads_the_field_it_writes():
     spec = parse_config(ALL_KEYS)
     echoed = [f"{line}  # config" for line in ALL_KEYS.splitlines()]
     assert resolved_config_lines(spec) == echoed
-    assert spec.scene.detection_coeffs == (0.09, -0.07, 55.0)
-    assert spec.relevance.high_range == (0.4, 0.9)
-    assert spec.estimation.coeffs == (1.5, -0.4, 20.0)
-    assert spec.slots_per_episode == 24 and spec.master_seed == 99
+    scene, relevance, estimation = spec.scene, spec.relevance, spec.estimation
+    assert (scene.detection_a1, scene.detection_a2, scene.detection_a3) == (0.09, -0.07, 55.0)
+    assert scene.detection_coeffs == (0.09, -0.07, 55.0)
+    assert (relevance.high_min, relevance.high_max, relevance.p) == (0.4, 0.9, 0.3)
+    assert (estimation.a4, estimation.a5, estimation.a6) == (1.5, -0.4, 20.0)
+    assert spec.slots == 24 and spec.seed == 99
+
+
+def _leaves(spec):
+    """Each leaf field of `spec`, by its path spelled as a key: `<section>.<field>`
+    for a section's field, `run.<field>` for a top-level one."""
+    out = {}
+    for top in dataclasses.fields(spec):
+        value = getattr(spec, top.name)
+        if dataclasses.is_dataclass(value):
+            out.update({f"{top.name}.{f.name}": getattr(value, f.name) for f in dataclasses.fields(value)})
+        else:
+            out[f"run.{top.name}"] = value
+    return out
+
+
+def test_each_leaf_field_is_exactly_one_key():
+    # Every leaf is a key, in the order `validate` and run.log list them, and
+    # no key is left over; setting a key moves its own leaf and no other.
+    spec = parse_config(ALL_KEYS)
+    assert list(_leaves(spec)) == list(harness._KEYS)
+    default = _leaves(harness.ExperimentSpec())
+    for key, value in _leaves(spec).items():
+        moved = _leaves(with_value(harness.ExperimentSpec(), key, value))
+        assert [k for k in moved if moved[k] != default[k]] == [key]
 
 
 def test_readme_config_table_spells_out_every_key():

@@ -28,7 +28,7 @@ def test_unicast_budget_one_se_matches_the_independent_reference(capsys):
     spec = replace(ExperimentSpec(), schemes=SCHEMES, gammas=(1,))
     engine = {row.scheme: (row.se, row.se_ci) for row in run_sweep(spec)}
     ref = {s: _pooled_se(*unicast_budget_one(s.value, spec.replications,
-                                             spec.slots_per_episode, spec.master_seed))
+                                             spec.slots, spec.seed))
            for s in SCHEMES}
     parts, bad = [], []
     for s in SCHEMES:

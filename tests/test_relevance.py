@@ -48,7 +48,7 @@ def test_correlation_monotone_in_distance():
 def test_values_are_zero_or_in_high_range():
     params = RelevanceParams()
     rels = build_relevance_functions(K, _two_vehicles(50.0), params, np.random.default_rng(2))
-    lo, hi = params.high_range
+    lo, hi = params.high_min, params.high_max
     for rel in rels:
         assert len(rel.values) == K
         for k, w in enumerate(rel.values):
@@ -98,7 +98,7 @@ def test_class_agreement_matches_mixture_formula():
     # With the independent-redraw coin disabled, two vehicles at distance d
     # share an object's class with probability
     #   rho(d) + (1 - rho(d)) * (p_high^2 + p_low^2).
-    params = RelevanceParams(randomization_p=0.0)
+    params = RelevanceParams(p=0.0)
     rho = correlation_coefficient(50.0, params)
     expected = rho + (1 - rho) * (0.3**2 + 0.7**2)
     got = _class_agreement(50.0, params, seeds=250, seed=31)
@@ -108,7 +108,7 @@ def test_class_agreement_matches_mixture_formula():
 
 
 def test_class_agreement_decays_with_distance():
-    params = RelevanceParams(randomization_p=0.0)
+    params = RelevanceParams(p=0.0)
     near = _class_agreement(50.0, params, seeds=120, seed=37)
     far = _class_agreement(380.0, params, seeds=120, seed=41)
     assert near > far + 0.2  # 0.958 vs ~0.60 in expectation
@@ -117,7 +117,7 @@ def test_class_agreement_decays_with_distance():
 def test_high_values_redrawn_per_vehicle():
     # Correlation acts on class membership only; the value of a shared
     # high-class object is an independent draw for each vehicle.
-    params = RelevanceParams(randomization_p=0.0)
+    params = RelevanceParams(p=0.0)
     rng = np.random.default_rng(13)
     rels = build_relevance_functions(K, _two_vehicles(10.0), params, rng)
     shared = ids_of(rels[0].high_mask & rels[1].high_mask)

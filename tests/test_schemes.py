@@ -56,13 +56,13 @@ def test_estimation_error_saturates_where_the_exponential_overflows():
     # exp(-a5 * (c - a6)) overflows a float at every count listed: below a6 for
     # a5 > 0, above it for a5 < 0.
     for a5, counts in ((1000.0, (0, 1, 25)), (-1000.0, (27, 110, 10**6))):
-        steep = EstimationModel(coeffs=(1.0, a5, 26.0))
+        steep = EstimationModel(a4=1.0, a5=a5, a6=26.0)
         assert [estimation_error(c, steep) for c in counts] == [0.0] * 3
-        flat = EstimationModel(coeffs=(0.0, a5, 26.0))
+        flat = EstimationModel(a4=0.0, a5=a5, a6=26.0)
         assert [estimation_error(c, flat) for c in counts] == [1.0] * 3
     # Where the exponential is 1 or underflows to 0, the formula is unchanged.
-    assert estimation_error(26, EstimationModel(coeffs=(3.0, 1000.0, 26.0))) == 0.25
-    assert estimation_error(10**6, EstimationModel(coeffs=(1.0, 1000.0, 26.0))) == 1.0
+    assert estimation_error(26, EstimationModel(a4=3.0, a5=1000.0, a6=26.0)) == 0.25
+    assert estimation_error(10**6, EstimationModel(a4=1.0, a5=1000.0, a6=26.0)) == 1.0
 
 
 def test_estimated_value_zero_error_is_identity():
