@@ -96,17 +96,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: --out {args.out} is not a directory", file=sys.stderr)
         return USAGE_ERROR
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
+    spec = configured = _load_spec(args)
+    for key, value in (("run.seed", args.seed), ("run.replications", args.replications),
+                       ("run.slots", args.slots)):
+        if value is not None:
+            spec = with_value(spec, key, value)
+    started = time.perf_counter()
     try:
-        spec = configured = _load_spec(args)
-        for key, value in (("run.seed", args.seed), ("run.replications", args.replications),
-                           ("run.slots", args.slots)):
-            if value is not None:
-                spec = with_value(spec, key, value)
-        started = time.perf_counter()
         rows = run_sweep(spec, progress=progress)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return CONFIG_ERROR
     except RuntimeError as e:
         cause = f": {e.__cause__!r}" if e.__cause__ is not None else ""
         print(f"run failed: {e}{cause}", file=sys.stderr)
@@ -125,11 +122,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return CONFIG_ERROR
+    spec = _load_spec(args)
     print(f"# seed_contract = {SEED_CONTRACT}")
     print("\n".join(resolved_config_lines(spec)))
     return 0
@@ -143,11 +136,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    return _cmd_oracle(args)
+    command = {"run": _cmd_run, "validate": _cmd_validate, "oracle": _cmd_oracle}[args.command]
+    try:
+        return command(args)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return CONFIG_ERROR
 
 
 if __name__ == "__main__":

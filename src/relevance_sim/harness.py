@@ -16,7 +16,7 @@ import numpy as np
 from .engine import EpisodeConfig, run_episode_accumulator
 from .metrics import SV_AGGREGATIONS, MetricsAccumulator, MetricsRecord
 from .relevance import RelevanceParams
-from .scenario import MobilityMode, SceneConfig
+from .scenario import SceneConfig
 from .schemes import SCHEME_INDEX, EstimationModel, SchemeKind
 
 DEFAULT_GAMMAS = tuple(range(1, 26))
@@ -224,34 +224,6 @@ def emit_csv(rows: list[SweepRow], path: str) -> None:
 # paths.  Unknown keys and duplicates are hard errors; anything omitted takes
 # the experiment defaults above.
 
-def _parse_schemes(raw: str) -> tuple[SchemeKind, ...]:
-    by_name = {k.value.lower(): k for k in SchemeKind}
-    out = []
-    for part in raw.split(","):
-        name = part.strip().lower()
-        if name not in by_name:
-            raise ValueError(f"unknown scheme {part.strip()!r}")
-        out.append(by_name[name])
-    return tuple(out)
-
-
-def _parse_gammas(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in raw.split(","))
-
-
-def _parse_mobility(raw: str) -> MobilityMode:
-    table = {m.value: m for m in MobilityMode}
-    if raw not in table:
-        raise ValueError(f"mobility_mode must be one of {sorted(table)}")
-    return table[raw]
-
-
-_PARSERS: dict[str, Callable[[str], object]] = {
-    "scene.mobility_mode": _parse_mobility, "run.schemes": _parse_schemes, "run.gammas": _parse_gammas}
 _hints = functools.cache(get_type_hints)  # resolves annotation strings, once per class
 
 
@@ -265,15 +237,33 @@ def _keys() -> Iterator[tuple[str, tuple[str, ...]]]:
 
 
 # key -> path in an ExperimentSpec, in field order (`<section>.<field>` or
-# `run.<field>`); the grammar reads a key with `_PARSERS[key]`, else its field's type.
+# `run.<field>`); the grammar reads a key's value by its field's annotation.
 _KEYS = dict(_keys())
 
 
-def _parser(key: str) -> Callable[[str], object]:
+def _hint(path: tuple[str, ...]) -> object:
     hint: object = ExperimentSpec
-    for step in _KEYS[key]:
+    for step in path:
         hint = _hints(hint)[step]
-    return _PARSERS.get(key, hint)
+    return hint
+
+
+def _parse(hint: object, raw: str) -> object:
+    """Read `raw` as a value of the annotation `hint`: a `tuple[X, ...]` is a
+    comma list of X (a tuple of ints also takes `lo..hi`), an enum is the member
+    whose value matches in any case, and anything else is `hint(raw)`."""
+    if get_args(hint):
+        item = get_args(hint)[0]
+        if item is int and ".." in raw:
+            lo, hi = raw.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(_parse(item, part.strip()) for part in raw.split(","))
+    if issubclass(hint, Enum):
+        member = {m.value.lower(): m for m in hint}.get(raw.lower())
+        if member is None:
+            raise ValueError(f"{raw!r} is not one of {', '.join(m.value for m in hint)}")
+        return member
+    return hint(raw)
 
 
 def _fits(value: object, hint: object) -> bool:
@@ -368,7 +358,7 @@ def parse_config(text: str) -> ExperimentSpec:
         if path in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[path] = _parser(key)(raw_value)
+            values[path] = _parse(_hint(path), raw_value)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
     spec = _set(ExperimentSpec(), values)

@@ -1,11 +1,15 @@
 """No public function or class in the package survives only because a test
-imports it.
+imports it, and no module keeps an import it does not use.
 
 Every top-level public function or class in `src/relevance_sim/*.py` must be
 referenced by the package's own code outside its definition: read as a name
 (a call, an annotation, a base class) or as an attribute. Imports, comments
 and docstrings do not count. Names the package root exports are the user API
 and exempt. A rule that only the tests need belongs in `tests/reference.py`.
+
+Every name a module imports must be read as a name somewhere in that module,
+so a deletion cannot leave an import behind. The package root, whose imports
+are its exports, and `from __future__` are exempt.
 """
 import ast
 import pathlib
@@ -61,3 +65,48 @@ def test_guard_flags_a_definition_only_tests_could_reach(tmp_path):
     # named inside their own definitions, in strings and comments, or in an
     # import.
     assert unreferenced_definitions(tmp_path) == ["core.py:9 Shape", "core.py:14 orphan"]
+
+
+def unused_imports(package: pathlib.Path) -> list[str]:
+    """`module:line name` for each name a module of `package` other than its
+    root imports and never reads."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    out.append(f"{path.name}:{node.lineno} {name}")
+    return out
+
+
+def test_every_import_is_read_by_its_module():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_guard_flags_an_import_its_module_never_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .core import api, unused_here\n")
+    (tmp_path / "core.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from enum import Enum\n"
+        "from typing import Callable\n"
+        "from .other import Mode, helper as _helper\n\n\n"
+        "def api(f: Callable) -> None:\n"
+        "    \"\"\"Mentions Enum in a docstring.\"\"\"\n"
+        "    Mode = 1  # rebinding is not a read\n"
+        "    return os.path.join(_helper(f), 'Mode')\n"
+    )
+    # `os`, `Callable` and `_helper` are read; `np`, `Enum` and `Mode` appear
+    # only in their import, a docstring, an assignment or a string. The package
+    # root's re-exports are exempt.
+    assert unused_imports(tmp_path) == ["core.py:4 np", "core.py:5 Enum", "core.py:7 Mode"]

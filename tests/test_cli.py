@@ -220,6 +220,21 @@ def test_bad_worker_count_exits_2(tmp_path, monkeypatch, capsys):
         assert not out.exists()  # no empty --out left behind
 
 
+def test_out_of_range_override_exits_2_naming_its_key(tmp_path, monkeypatch, capsys):
+    def episode(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
+    monkeypatch.setattr(harness, "run_episode_accumulator", episode)
+    out = tmp_path / "o"
+    for flag, raw, key in (("--seed", "-1", "run.seed"), ("--slots", "3", "run.slots"),
+                           ("--replications", "0", "run.replications")):
+        code = cli.main(["run", "--preset", "fig5", "--out", str(out), flag, raw, "--quiet"])
+        assert code == cli.CONFIG_ERROR == 2, flag
+        assert capsys.readouterr().err.startswith(f"config error: {key} must "), flag
+        assert not out.exists()
+
+
 def test_out_naming_a_file_is_a_usage_error_before_any_cell(tmp_path):
     taken = tmp_path / "results.txt"
     taken.write_text("keep me\n")

@@ -26,6 +26,7 @@ from relevance_sim.harness import (
     resolved_config_lines,
     with_value,
 )
+from relevance_sim.scenario import MobilityMode
 
 
 def _tiny_spec(vehicle_count=2, **overrides):
@@ -510,12 +511,12 @@ def test_readme_config_table_spells_out_every_key():
         defaults += [cell] if len(keys) == 1 else [v.strip() for v in cell.split(",")]
     assert len(named) == len(set(named))
     assert set(named) == set(harness._KEYS)
-    # Each default cell, read by the parser `parse_config` uses for the key, is
-    # the key's value in ExperimentSpec(); a row of several keys pairs them in order.
+    # Each default cell, written as a config line, parses to the key's value in
+    # ExperimentSpec(); a row of several keys pairs them in order.
     assert len(defaults) == len(named)
-    default = harness.ExperimentSpec()
+    default = _leaves(harness.ExperimentSpec())
     for key, cell in zip(named, defaults):
-        assert harness._parser(key)(cell) == harness._get(default, harness._KEYS[key]), (key, cell)
+        assert _leaves(parse_config(f"{key} = {cell}\n"))[key] == default[key], (key, cell)
 
 
 def test_mode_follows_vehicle_count():
@@ -530,6 +531,17 @@ def test_config_gamma_list_and_scheme_names():
     spec = parse_config("run.gammas = 3,5,9\nrun.schemes = semantic, baseline\n")
     assert spec.gammas == (3, 5, 9)
     assert spec.schemes == (SchemeKind.SEMANTIC, SchemeKind.BASELINE)
+
+
+def test_enum_keys_read_in_any_case():
+    spec = parse_config("scene.mobility_mode = CONSTANT_VELOCITY\nrun.schemes = SEMANTIC, rm\n")
+    assert spec.scene.mobility_mode is MobilityMode.CONSTANT_VELOCITY
+    assert spec.schemes == (SchemeKind.SEMANTIC, SchemeKind.RM)
+    for key, raw, enum in (("scene.mobility_mode", "walk", MobilityMode),
+                           ("run.schemes", "Turbo", SchemeKind)):
+        with pytest.raises(ConfigError, match=rf"^line 1: bad value for {re.escape(key)}: ") as err:
+            parse_config(f"{key} = {raw}\n")
+        assert all(member.value in str(err.value) for member in enum), str(err.value)
 
 
 def test_config_errors_carry_line_numbers():
