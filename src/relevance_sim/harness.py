@@ -7,14 +7,14 @@ import functools
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator, get_args, get_type_hints
 
 import numpy as np
 
 from .engine import EpisodeConfig, run_episode_accumulator
-from .metrics import SV_AGGREGATIONS, MetricsAccumulator, MetricsRecord
+from .metrics import SV_AGGREGATIONS, MetricsAccumulator
 from .relevance import RelevanceParams
 from .scenario import SceneConfig
 from .schemes import SCHEME_INDEX, EstimationModel, SchemeKind
@@ -120,7 +120,7 @@ def _ci_half_width(values: list[float]) -> float | None:
 def _run_cell(episode: EpisodeConfig) -> SweepRow:
     spec, scheme, gamma = episode.spec, episode.scheme, episode.gamma
     merged = MetricsAccumulator(spec.sv_aggregation)
-    per_rep: list[MetricsRecord] = []
+    per_rep = []
     for rep in range(spec.replications):
         try:
             acc = run_episode_accumulator(episode, derive_rng(spec.seed, scheme, gamma, rep))
@@ -130,14 +130,14 @@ def _run_cell(episode: EpisodeConfig) -> SweepRow:
             ) from e
         per_rep.append(acc.finalize())
         merged = merged.merge(acc)
-    columns = asdict(merged.finalize())
+    columns = merged.finalize()
     for metric in CI_METRICS:
         columns[f"{metric}_ci"] = _ci_half_width(
-            [getattr(r, metric) for r in per_rep if getattr(r, metric) is not None])
+            [r[metric] for r in per_rep if r[metric] is not None])
     # Distinct-variable counts are only meaningful within one scenario, so the
     # per-variable transmission multiplicity averages per-episode values
     # instead of reading the cross-episode merge.
-    mult = [r.tx_multiplicity for r in per_rep if r.tx_multiplicity is not None]
+    mult = [r["tx_multiplicity"] for r in per_rep if r["tx_multiplicity"] is not None]
     columns["tx_multiplicity"] = sum(mult) / len(mult) if mult else None
     return SweepRow(mode=spec.mode, scheme=scheme, gamma=gamma,
                     replications=spec.replications, **columns)

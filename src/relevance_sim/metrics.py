@@ -16,17 +16,6 @@ from .schemes import ids_of
 SV_AGGREGATIONS = ("max", "mean")
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    hrr: float | None
-    mean_sv: float | None
-    lrr: float | None
-    usage: float | None
-    se: float | None
-    mean_eps: float | None
-    tx_multiplicity: float | None
-
-
 @dataclass(slots=True)
 class MetricsAccumulator:
     """Additive sufficient statistics for one stream of messages.
@@ -117,18 +106,18 @@ class MetricsAccumulator:
                 setattr(out, f.name, a | b if f.name == "tx_seen_mask" else a + b)
         return out
 
-    def finalize(self) -> MetricsRecord:
-        """Reduce the totals to the reported metrics; absent data stays None
-        (serialized as empty cells, never fabricated zeros)."""
-        if self.messages == 0:
-            return MetricsRecord(**{f.name: None for f in fields(MetricsRecord)})
-        distinct = self.tx_seen_mask.bit_count()
-        return MetricsRecord(
-            hrr=self.hrr_sum / self.hrr_count if self.hrr_count else None,
-            mean_sv=self.sv_total / self.messages,
-            lrr=self.low_count / self.variables if self.variables else None,
-            usage=self.usage_sum / self.messages,
-            se=self.sv_total / self.variables if self.variables else None,
-            mean_eps=self.eps_sum / self.eps_count if self.eps_count else None,
-            tx_multiplicity=self.variables / distinct if distinct else None,
-        )
+    def finalize(self) -> dict[str, float | None]:
+        """Reduce the totals to `SweepRow`'s metric columns; absent data stays
+        None (serialized as empty cells, never fabricated zeros), and a stream
+        with no message has no data at all."""
+        m, v, distinct = self.messages, self.variables, self.tx_seen_mask.bit_count()
+        columns = {
+            "hrr": self.hrr_sum / self.hrr_count if self.hrr_count else None,
+            "mean_sv": self.sv_total / m if m else None,
+            "lrr": self.low_count / v if v else None,
+            "usage": self.usage_sum / m if m else None,
+            "se": self.sv_total / v if v else None,
+            "mean_eps": self.eps_sum / self.eps_count if self.eps_count else None,
+            "tx_multiplicity": v / distinct if distinct else None,
+        }
+        return columns if m else dict.fromkeys(columns)

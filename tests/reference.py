@@ -8,6 +8,7 @@ of one corner of the model, written from the README alone, and
 `exact_episode_totals` another: the exact expectations of a static episode on
 a tiny scene.
 """
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -142,12 +143,75 @@ def _uniform_subset(mask, gamma):
     return [(s, 1.0 / len(subsets)) for s in subsets]
 
 
-def _message_distribution(scheme, local, heard, known, rows, gamma, s_min):
+def _noise_width(known_count, estimation):
+    """Semantic's noise width δ = width·ε(c), with ε(c) = 1/(1 + a4·e^(−a5·(c − a6)))
+    over the transmitter's known-set size c."""
+    e = estimation
+    return e["value_range_width"] / (1.0 + e["a4"] * math.exp(-e["a5"] * (known_count - e["a6"])))
+
+
+@functools.cache
+def _semantic_distribution(fresh, rows, gamma, s_min, delta):
+    """Semantic's messages from the ids of `fresh`, as (mask, probability) pairs.
+
+    Each fresh id scores the best over the receivers' value `rows` of its
+    value plus its own uniform noise of width `delta` > 0, and the gamma best
+    scores above s_min are sent.  So an id's score has the CDF
+    F(x) = prod over rows of clip((x - w) / delta + 1/2, 0, 1), a piecewise
+    polynomial.  A message of fewer than gamma ids is exactly the set scoring
+    above s_min: a product of F(s_min) and 1 - F(s_min).  A full message A
+    is sent when its lowest score x clears s_min, the rest of A score above
+    x and every other fresh id below: the integral over x of
+    sum over a in A of F_a'(x) * prod over A - a of (1 - F) * prod over the
+    others of F.  That integrand is a polynomial between the breakpoints
+    w ± delta/2, so Gauss-Legendre on each piece, with enough nodes for its
+    degree, integrates it exactly.
+    """
+    ids = _ids(fresh)
+    if not ids:
+        return [(0, 1.0)]
+    half = delta / 2
+    edges = sorted({s_min} | {x for row in rows for i in ids
+                              for x in (row[i] - half, row[i] + half) if x > s_min})
+    nodes, weights = np.polynomial.legendre.leggauss(len(rows) * len(ids) // 2 + 1)
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    x = ((hi - lo) / 2 * nodes + (hi + lo) / 2).ravel()
+    dx = ((hi - lo) / 2 * weights).ravel()
+
+    def ramps(i, at):
+        return [np.clip((at - row[i]) / delta + 0.5, 0.0, 1.0) for row in rows]
+
+    cdf, density = {}, {}
+    for i in ids:
+        r = ramps(i, x)
+        cdf[i] = np.prod(r, axis=0)
+        density[i] = sum((np.abs(x - row[i]) < half) / delta * np.prod(r[:j] + r[j + 1:], axis=0)
+                         for j, row in enumerate(rows))
+    below = {i: math.prod(ramps(i, s_min)) for i in ids}  # F(s_min)
+    out = []
+    for size in range(min(gamma, len(ids)) + 1):
+        for a in itertools.combinations(ids, size):
+            rest = [i for i in ids if i not in a]
+            if size < gamma:
+                p = math.prod(1.0 - below[i] for i in a) * math.prod(below[i] for i in rest)
+            else:
+                integrand = sum(density[i] * np.prod([1.0 - cdf[j] for j in a if j != i]
+                                                     + [cdf[j] for j in rest], axis=0)
+                                for i in a)
+                p = float(dx @ integrand)
+            if p > 0.0:
+                out.append((sum(1 << i for i in a), p))
+    assert abs(sum(p for _, p in out) - 1.0) < 1e-9
+    return out
+
+
+def _message_distribution(scheme, local, heard, known, rows, gamma, s_min, estimation):
     """The messages a transmitter may send, as (mask, probability) pairs.
 
     `local` is its fresh snapshot, `heard` the union of the valid messages of
     the other vehicles (the channel's estimate of what the receivers hold),
     and `known` and `rows` each receiver's true known mask and value row.
+    `estimation` holds the README's `estimation.*` keys, read by Semantic only.
     """
     if scheme == "Baseline":  # a uniform gamma-subset of the snapshot
         return _uniform_subset(local, gamma)
@@ -161,6 +225,9 @@ def _message_distribution(scheme, local, heard, known, rows, gamma, s_min):
         if not drops:
             return _uniform_subset(local & ~heard, gamma)
         return [(local & ~d, 1.0 / len(drops)) for d in drops]
+    if scheme == "Semantic":  # noisy estimates of the ids not heard, over s_min
+        delta = _noise_width((local | heard).bit_count(), estimation)
+        return _semantic_distribution(local & ~heard, rows, gamma, s_min, delta)
     # IdealSemantic: the gamma best true values over the receivers, an id a
     # receiver knows being worth nothing to it, above s_min only.  The test
     # scenes have no two equal values, so no tie needs breaking.
@@ -173,14 +240,16 @@ def _message_distribution(scheme, local, heard, known, rows, gamma, s_min):
     return [(sum(1 << i for i in best), 1.0)]
 
 
-def exact_episode_totals(probs, values, scheme, gamma, slots, aggregation, s_min):
+def exact_episode_totals(probs, values, scheme, gamma, slots, aggregation, s_min,
+                         estimation=None):
     """Exact expected episode totals of one static episode on a fixed scene.
 
     `probs[v][k]` is the chance vehicle v detects object k in one snapshot and
     `values[v][k]` is what object k is worth to v.  `scheme` is "Baseline",
-    "IRC", "RM" or "IdealSemantic".  Returns the expectations of the metric
-    totals: `messages`, `variables`, `usage_sum`, `low_count`, `sv_total`,
-    `hrr_sum` and `hrr_count`.
+    "IRC", "RM", "Semantic" or "IdealSemantic"; Semantic also needs
+    `estimation`, a mapping of `a4`, `a5`, `a6` and `value_range_width`.
+    Returns the expectations of the metric totals: `messages`, `variables`,
+    `usage_sum`, `low_count`, `sv_total`, `hrr_sum` and `hrr_count`.
 
     Written from the README's model, with no package code.  Slot t belongs
     to vehicle t % N, which takes a fresh snapshot, picks at most gamma of
@@ -210,7 +279,7 @@ def exact_episode_totals(probs, values, scheme, gamma, slots, aggregation, s_min
     for t in range(slots):
         tx = t % n
         receivers = [r for r in range(n) if r != tx]
-        rows = [values[r] for r in receivers]
+        rows = tuple(tuple(values[r]) for r in receivers)
         low = sum(1 << i for i in range(k) if all(row[i] < s_min for row in rows))
         counted = t >= n
         if counted:
@@ -229,7 +298,7 @@ def exact_episode_totals(probs, values, scheme, gamma, slots, aggregation, s_min
             known = [state[r][0] | heard for r in receivers]
             for local, q in snapshots[tx]:
                 for sent, w in _message_distribution(scheme, local, heard, known, rows,
-                                                     gamma, s_min):
+                                                     gamma, s_min, estimation):
                     after = state[:tx] + ((local, sent),) + state[tx + 1:]
                     dist[after] += p * q * w
                     if counted:
