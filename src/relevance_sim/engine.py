@@ -202,7 +202,8 @@ def run_episode(objects: np.recarray, fleet: Fleet, relevance: list[RelevanceFun
     spec = config.spec
     n = len(fleet.positions)
     state = new_sim_state(objects, fleet, relevance, config)
-    acc = MetricsAccumulator(spec.sv_aggregation)
+    acc = MetricsAccumulator()
+    aggregation = spec.sv_aggregation
     record_tx = acc.record_transmission
     record_hrr = acc.record_awareness_snapshot
     knowledge, views = state.knowledge, state._views
@@ -212,7 +213,7 @@ def run_episode(objects: np.recarray, fleet: Fleet, relevance: list[RelevanceFun
         if t < n:
             continue
         _, values, low = views[tx]
-        record_tx(sent, values, known, low, config.gamma, eps)
+        record_tx(sent, values, known, low, config.gamma, aggregation, eps)
         after = [mask | sent for mask in known]
         after.insert(tx, knowledge.known_mask(tx))
         for mask, rel in zip(after, relevance):

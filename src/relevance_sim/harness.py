@@ -14,7 +14,7 @@ from typing import Callable, Iterator, get_args, get_type_hints
 import numpy as np
 
 from .engine import EpisodeConfig, run_episode_accumulator
-from .metrics import SV_AGGREGATIONS, MetricsAccumulator
+from .metrics import Aggregation, MetricsAccumulator
 from .relevance import RelevanceParams
 from .scenario import SceneConfig
 from .schemes import SCHEME_INDEX, EstimationModel, SchemeKind
@@ -46,7 +46,7 @@ class ExperimentSpec:
     replications: int = 200
     slots: int = 400
     seed: int = 12345
-    sv_aggregation: str = "max"
+    sv_aggregation: Aggregation = Aggregation.MAX
 
     @property
     def mode(self) -> Mode:
@@ -119,7 +119,7 @@ def _ci_half_width(values: list[float]) -> float | None:
 
 def _run_cell(episode: EpisodeConfig) -> SweepRow:
     spec, scheme, gamma = episode.spec, episode.scheme, episode.gamma
-    merged = MetricsAccumulator(spec.sv_aggregation)
+    merged = MetricsAccumulator()
     per_rep = []
     for rep in range(spec.replications):
         try:
@@ -317,7 +317,6 @@ _RULES: tuple[tuple[tuple[str, ...], Callable[..., bool], str], ...] = (
     (("run.slots", "scene.vehicle_count"), lambda slots, n: slots >= 2 * n,
      "be >= 2 * scene.vehicle_count"),
     (("run.seed",), lambda n: 0 <= n < 2**64, "be an unsigned 64-bit integer"),
-    (("run.sv_aggregation",), lambda a: a in SV_AGGREGATIONS, f"be one of {SV_AGGREGATIONS}"),
 )
 
 

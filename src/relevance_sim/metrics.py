@@ -9,11 +9,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from enum import Enum
 
 from .relevance import RelevanceFunction
 from .schemes import ids_of
 
-SV_AGGREGATIONS = ("max", "mean")
+
+class Aggregation(Enum):
+    """A sent variable's semantic value: the best or the mean of its per-receiver values."""
+
+    MAX = "max"
+    MEAN = "mean"
 
 
 @dataclass(slots=True)
@@ -24,7 +30,6 @@ class MetricsAccumulator:
     shards of one episode can be processed independently and combined.
     """
 
-    sv_aggregation: str = "max"
     messages: int = 0
     variables: int = 0
     sv_total: float = 0.0
@@ -36,10 +41,6 @@ class MetricsAccumulator:
     hrr_count: int = 0
     tx_seen_mask: int = field(default=0, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.sv_aggregation not in SV_AGGREGATIONS:
-            raise ValueError(f"unknown sv_aggregation {self.sv_aggregation!r}")
-
     def record_transmission(
         self,
         sent: int,
@@ -47,6 +48,7 @@ class MetricsAccumulator:
         known: Sequence[int],
         low: int,
         gamma: int,
+        aggregation: Aggregation,
         eps: float | None = None,
     ) -> None:
         """Fold one message into the totals.
@@ -55,7 +57,7 @@ class MetricsAccumulator:
         one true-value row and one known mask per intended receiver, the mask
         taken immediately before delivery.  A variable already in a receiver's
         known mask is redundant there and worth zero to it; the per-variable
-        semantic value aggregates these per-receiver values.  A variable counts
+        semantic value is the `aggregation` of these.  A variable counts
         as low-relevance only when its true value sits below s_min for every
         intended receiver, regardless of redundancy: `low` is the mask of
         those variables (see `RelevanceFunction.low_mask`).  `eps` is given
@@ -71,7 +73,7 @@ class MetricsAccumulator:
         self.tx_seen_mask |= sent
         self.low_count += (sent & low).bit_count()
         receivers = list(zip(values, known))
-        mean = self.sv_aggregation == "mean"
+        mean = aggregation is Aggregation.MEAN
         sv_total = self.sv_total
         for k in ids_of(sent):
             total = best = 0.0
@@ -97,13 +99,10 @@ class MetricsAccumulator:
     def merge(self, other: MetricsAccumulator) -> MetricsAccumulator:
         """Combine two shards of the same stream (associative, commutative):
         the mask of distinct ids is a union, every other total a sum."""
-        if other.sv_aggregation != self.sv_aggregation:
-            raise ValueError("cannot merge accumulators with different settings")
-        out = MetricsAccumulator(self.sv_aggregation)
+        out = MetricsAccumulator()
         for f in fields(self):
-            if f.name != "sv_aggregation":
-                a, b = getattr(self, f.name), getattr(other, f.name)
-                setattr(out, f.name, a | b if f.name == "tx_seen_mask" else a + b)
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            setattr(out, f.name, a | b if f.name == "tx_seen_mask" else a + b)
         return out
 
     def finalize(self) -> dict[str, float | None]:

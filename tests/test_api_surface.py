@@ -1,11 +1,13 @@
-"""No public function or class in the package survives only because a test
-imports it, and no module keeps an import it does not use.
+"""No public function, class or constant in the package survives only because
+a test imports it, and no module keeps an import it does not use.
 
-Every top-level public function or class in `src/relevance_sim/*.py` must be
-referenced by the package's own code outside its definition: read as a name
-(a call, an annotation, a base class) or as an attribute. Imports, comments
-and docstrings do not count. Names the package root exports are the user API
-and exempt. A rule that only the tests need belongs in `tests/reference.py`.
+Every top-level public function or class in `src/relevance_sim/*.py`, and
+every public module-level constant (an UPPER_CASE top-level assignment, each
+name of a tuple target included), must be referenced by the package's own
+code outside its definition: read as a name (a call, an annotation, a base
+class) or as an attribute. Imports, assignments, comments and docstrings do
+not count. Names the package root exports are the user API and exempt. A
+rule that only the tests need belongs in `tests/reference.py`.
 
 Every name a module imports must be read as a name somewhere in that module,
 so a deletion cannot leave an import behind. The package root, whose imports
@@ -13,13 +15,28 @@ are its exports, and `from __future__` are exempt.
 """
 import ast
 import pathlib
+import re
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "relevance_sim"
 
 
+def _public_names(node: ast.stmt) -> list[str]:
+    """The public names a top-level statement defines: a function's or class's
+    name, or each UPPER_CASE name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", n.id)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 def unreferenced_definitions(package: pathlib.Path) -> list[str]:
-    """`module:line name` for each public top-level definition in `package`
-    that its code never references outside the definition itself."""
+    """`module:line name` for each public top-level definition or constant in
+    `package` that its code never references outside the definition itself."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
     exported = {alias.asname or alias.name
                 for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom)
@@ -27,19 +44,17 @@ def unreferenced_definitions(package: pathlib.Path) -> list[str]:
     references: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 references.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 references.setdefault(node.attr, []).append(node)
     out = []
     for module, tree in trees.items():
         for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in exported):
-                continue
             own = {id(n) for n in ast.walk(node)}
-            if all(id(ref) in own for ref in references.get(node.name, ())):
-                out.append(f"{module}:{node.lineno} {node.name}")
+            for name in _public_names(node):
+                if name not in exported and all(id(ref) in own for ref in references.get(name, ())):
+                    out.append(f"{module}:{node.lineno} {name}")
     return out
 
 
@@ -58,13 +73,23 @@ def test_guard_flags_a_definition_only_tests_could_reach(tmp_path):
         "    return orphan  # orphan() again, in a comment\n"
     )
     (tmp_path / "other.py").write_text(
-        "from .core import orphan\n\n\n"
-        "def helper(x):\n    return x\n"
+        "from .core import orphan\n\n"
+        "SV_AGGREGATIONS = ('max', 'mean')\n"
+        "LO, HI = 0, 1\n"
+        "LIMIT: int = 3\n"
+        "_SPARE = 4\n\n\n"
+        "def helper(x):\n    \"\"\"Mentions SV_AGGREGATIONS and HI in a docstring.\"\"\"\n"
+        "    SV_AGGREGATIONS = 'max'  # rebinding is not a read\n"
+        "    return min(max(x, LO), LIMIT)\n"
     )
-    # `api` is exported and `helper` is called; `Shape` and `orphan` are only
-    # named inside their own definitions, in strings and comments, or in an
-    # import.
-    assert unreferenced_definitions(tmp_path) == ["core.py:9 Shape", "core.py:14 orphan"]
+    # `api` is exported, `helper` is called, and `LO` and `LIMIT` are read;
+    # `Shape`, `orphan`, `SV_AGGREGATIONS` and `HI` are only named inside their
+    # own definitions, in strings and comments, in an import or as an
+    # assignment target; `_SPARE` is private.
+    assert unreferenced_definitions(tmp_path) == [
+        "core.py:9 Shape", "core.py:14 orphan",
+        "other.py:3 SV_AGGREGATIONS", "other.py:4 HI",
+    ]
 
 
 def unused_imports(package: pathlib.Path) -> list[str]:

@@ -30,6 +30,7 @@ import numpy as np
 from reference import detection_probability, exact_episode_totals
 from relevance_sim import ExperimentSpec, SchemeKind
 from relevance_sim.engine import EpisodeConfig, run_episode
+from relevance_sim.metrics import Aggregation
 from relevance_sim.relevance import RelevanceFunction
 from relevance_sim.scenario import Fleet, SceneConfig
 from relevance_sim.schemes import EstimationModel
@@ -77,7 +78,7 @@ def _engine_totals(scene, scheme, gamma):
     relevance = [RelevanceFunction.from_values(np.array(row), S_MIN) for row in scene["values"]]
     spec = ExperimentSpec(scene=SceneConfig(object_count=k, vehicle_count=n),
                           estimation=EstimationModel(**ESTIMATION),
-                          slots=scene["slots"], sv_aggregation=scene["aggregation"])
+                          slots=scene["slots"], sv_aggregation=Aggregation(scene["aggregation"]))
     config = EpisodeConfig(spec, SchemeKind(scheme), gamma)
     rng = np.random.default_rng(SEED)
     accs = [run_episode(objects, fleet, relevance, config, rng) for _ in range(EPISODES)]

@@ -28,6 +28,7 @@ from relevance_sim.harness import (
     resolved_config_lines,
     with_value,
 )
+from relevance_sim.metrics import Aggregation
 from relevance_sim.scenario import MobilityMode
 
 
@@ -258,7 +259,6 @@ RANGE_RULES = [
      {"scene.vehicle_count": 4, "run.slots": 7}, {"scene.vehicle_count": 4, "run.slots": 8}),
     (("run.seed",), {"run.seed": 2**64}, {"run.seed": 2**64 - 1}),
     (("run.seed",), {"run.seed": -1}, {"run.seed": 0}),
-    (("run.sv_aggregation",), {"run.sv_aggregation": "median"}, {"run.sv_aggregation": "mean"}),
 ]
 
 
@@ -296,6 +296,7 @@ WRONG_TYPES = [
     ("scene.object_count", 10.0),
     ("scene.vehicle_count", 3.0),
     ("scene.mobility_mode", "static"),
+    ("run.sv_aggregation", "mean"),
     ("scene.vehicle_speed", "14"),
     ("scene.width", True),
 ]
@@ -547,11 +548,14 @@ def test_config_gamma_list_and_scheme_names():
 
 
 def test_enum_keys_read_in_any_case():
-    spec = parse_config("scene.mobility_mode = CONSTANT_VELOCITY\nrun.schemes = SEMANTIC, rm\n")
+    spec = parse_config("scene.mobility_mode = CONSTANT_VELOCITY\nrun.schemes = SEMANTIC, rm\n"
+                        "run.sv_aggregation = MEAN\n")
     assert spec.scene.mobility_mode is MobilityMode.CONSTANT_VELOCITY
     assert spec.schemes == (SchemeKind.SEMANTIC, SchemeKind.RM)
+    assert spec.sv_aggregation is Aggregation.MEAN
     for key, raw, enum in (("scene.mobility_mode", "walk", MobilityMode),
-                           ("run.schemes", "Turbo", SchemeKind)):
+                           ("run.schemes", "Turbo", SchemeKind),
+                           ("run.sv_aggregation", "median", Aggregation)):
         with pytest.raises(ConfigError, match=rf"^line 1: bad value for {re.escape(key)}: ") as err:
             parse_config(f"{key} = {raw}\n")
         assert all(member.value in str(err.value) for member in enum), str(err.value)

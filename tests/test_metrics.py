@@ -8,18 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relevance_sim import MetricsAccumulator, SweepRow
+from relevance_sim.metrics import Aggregation
 from relevance_sim.relevance import RelevanceFunction
 from relevance_sim.schemes import mask_of
 
 S_MIN = 0.05
 
 
-def _message(variables, true_values, redundant, gamma, eps=None, receivers=(1,)):
+def _message(variables, true_values, redundant, gamma, eps=None, receivers=(1,),
+             aggregation=Aggregation.MAX):
     """Arguments of `record_transmission` for one message from vehicle 0, from
     per-variable rows of true values and redundancy flags (one entry per
     receiver): the sent mask, each receiver's value row, its known mask
-    holding exactly the variables flagged redundant for it, and the mask of
-    variables below s_min for every receiver."""
+    holding exactly the variables flagged redundant for it, the mask of
+    variables below s_min for every receiver, gamma, the aggregation and
+    eps."""
     width = max(variables, default=0) + 1
     rows = [np.zeros(width) for _ in receivers]
     known = [0] * len(receivers)
@@ -29,7 +32,7 @@ def _message(variables, true_values, redundant, gamma, eps=None, receivers=(1,))
             if red:
                 known[i] |= 1 << k
     values = [tuple(row.tolist()) for row in rows]
-    return mask_of(variables), values, known, _low_mask(rows), gamma, eps
+    return mask_of(variables), values, known, _low_mask(rows), gamma, aggregation, eps
 
 
 def test_redundant_variable_contributes_zero_value():
@@ -70,12 +73,10 @@ def test_value_is_best_over_receivers():
 
 
 def test_mean_aggregation_averages_over_receivers():
-    acc = MetricsAccumulator(sv_aggregation="mean")
+    acc = MetricsAccumulator()
     acc.record_transmission(*_message([0], [(0.7, 0.3)], [(False, False)],
-                                      gamma=1, receivers=(1, 2)))
+                                      gamma=1, receivers=(1, 2), aggregation=Aggregation.MEAN))
     assert acc.finalize()["mean_sv"] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        MetricsAccumulator(sv_aggregation="median")
 
 
 def test_empty_message_counts_but_adds_nothing():
@@ -218,17 +219,12 @@ def test_merge_equals_concatenated_stream():
                 assert got == want, f.name
 
 
-def test_merge_rejects_mismatched_settings():
-    with pytest.raises(ValueError):
-        MetricsAccumulator().merge(MetricsAccumulator(sv_aggregation="mean"))
-
-
 # --- property checks --------------------------------------------------------
 
 UNIVERSE = 20
 
 
-def _reference_fold(acc, ids, values, known, gamma, eps):
+def _reference_fold(acc, ids, values, known, gamma, aggregation, eps):
     """The per-id fold `record_transmission` replaces: every transmitted id,
     every receiver, redundant values added as 0.0, and the low class read
     from the value rows against s_min."""
@@ -251,7 +247,7 @@ def _reference_fold(acc, ids, values, known, gamma, eps):
                 best = s
             if w >= S_MIN:
                 low = False
-        acc.sv_total += total / len(values) if acc.sv_aggregation == "mean" else best
+        acc.sv_total += total / len(values) if aggregation is Aggregation.MEAN else best
         if low:
             acc.low_count += 1
 
@@ -286,14 +282,14 @@ def _low_mask(rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_messages(), st.sampled_from(["max", "mean"]))
+@given(_messages(), st.sampled_from(Aggregation))
 def test_mask_fold_equals_per_id_reference(stream, aggregation):
-    acc = MetricsAccumulator(sv_aggregation=aggregation)
-    ref = MetricsAccumulator(sv_aggregation=aggregation)
+    acc = MetricsAccumulator()
+    ref = MetricsAccumulator()
     for sent, rows, known, gamma, eps in stream:
-        acc.record_transmission(sent, rows, known, _low_mask(rows), gamma, eps)
+        acc.record_transmission(sent, rows, known, _low_mask(rows), gamma, aggregation, eps)
         ids = [k for k in range(UNIVERSE) if sent >> k & 1]
-        _reference_fold(ref, ids, rows, known, gamma, eps)
+        _reference_fold(ref, ids, rows, known, gamma, aggregation, eps)
     # Exact equality, float totals included: the same additions in the same order.
     assert dataclasses.astuple(acc) == dataclasses.astuple(ref)
 
@@ -301,7 +297,7 @@ def test_mask_fold_equals_per_id_reference(stream, aggregation):
 def _accumulator(stream):
     acc = MetricsAccumulator()
     for sent, rows, known, gamma, eps in stream:
-        acc.record_transmission(sent, rows, known, _low_mask(rows), gamma, eps)
+        acc.record_transmission(sent, rows, known, _low_mask(rows), gamma, Aggregation.MAX, eps)
     return acc
 
 
