@@ -7,10 +7,11 @@ gamma variables, and the message reaches every other vehicle over an
 error-free channel.  A received message stays valid for one full
 communication cycle (N slots).
 
-Knowledge is held once, as int bitmasks over object ids (K is small):
-`local[v]` is vehicle v's latest snapshot and `sent[s]` sender s's latest
-message.  Every receiver hears every message, and under round-robin a message
-expires exactly when its sender transmits again, so:
+Knowledge is held once, on the episode's `SimState`, as int bitmasks over
+object ids (K is small): `state.local[v]` is vehicle v's latest snapshot and
+`state.sent[s]` sender s's latest message.  Every receiver hears every
+message, and under round-robin a message expires exactly when its sender
+transmits again, so:
 
 - vehicle v knows `local[v] | OR(sent[s] for s != v)`;
 - the channel estimate of what the receivers know is `OR(sent[s] for s != tx)`;
@@ -64,22 +65,6 @@ if TYPE_CHECKING:
     from .harness import ExperimentSpec
 
 
-@dataclass(slots=True)
-class KnowledgeBase:
-    """Every vehicle's knowledge in one episode, as masks over object ids.
-
-    `local[v]` is vehicle v's latest perception snapshot; `sent[s]` is sender
-    s's latest message, or 0 once it has expired.
-    """
-
-    local: list[int]
-    sent: list[int]
-
-    def known_mask(self, v: int) -> int:
-        """Vehicle v's snapshot united with every other sender's valid message."""
-        return self.local[v] | estimate_receiver_known(self.sent, v)
-
-
 @dataclass(frozen=True)
 class EpisodeConfig:
     """One (scheme, gamma) cell of a run; every other setting is read from `spec`."""
@@ -91,10 +76,13 @@ class EpisodeConfig:
 
 @dataclass(slots=True)
 class SimState:
-    """One episode in progress; the vehicles' current positions live in `fleet`."""
+    """One episode in progress: the vehicles' current positions live in `fleet`,
+    and their knowledge in `local` (vehicle v's latest snapshot) and `sent`
+    (sender s's latest message, or 0 once it has expired)."""
 
     config: EpisodeConfig
-    knowledge: KnowledgeBase
+    local: list[int]
+    sent: list[int]
     fleet: Fleet
     # Hot-loop caches: the object positions as one (K, 2) array, each
     # vehicle's detection probabilities in a static episode (empty in a
@@ -104,6 +92,10 @@ class SimState:
     _xy: np.ndarray = field(repr=False)
     _probs: list[np.ndarray] = field(repr=False)
     _views: list[tuple[tuple[int, ...], list[tuple[float, ...]], int]] = field(repr=False)
+
+    def known_mask(self, v: int) -> int:
+        """Vehicle v's snapshot united with every other sender's valid message."""
+        return self.local[v] | estimate_receiver_known(self.sent, v)
 
 
 def new_sim_state(
@@ -128,7 +120,8 @@ def new_sim_state(
         views.append((receivers, [relevance[r].values for r in receivers], low))
     return SimState(
         config=config,
-        knowledge=KnowledgeBase(local=[0] * n, sent=[0] * n),
+        local=[0] * n,
+        sent=[0] * n,
         fleet=fleet,
         _xy=xy,
         _probs=probs,
@@ -144,8 +137,7 @@ def run_slot(state: SimState, tx: int, rng: np.random.Generator) -> tuple[int, l
     error if the scheme used it, else None.
     """
     config = state.config
-    kb = state.knowledge
-    kb.sent[tx] = 0  # one full cycle old: expires before tx sends again
+    state.sent[tx] = 0  # one full cycle old: expires before tx sends again
 
     spec = config.spec
     scene = spec.scene
@@ -158,11 +150,11 @@ def run_slot(state: SimState, tx: int, rng: np.random.Generator) -> tuple[int, l
         probs = state._probs[tx]
 
     local = mask_of(sample_hits(probs, rng))
-    kb.local[tx] = local
+    state.local[tx] = local
 
     receivers, values, _ = state._views[tx]
-    known = [kb.known_mask(r) for r in receivers]
-    est_known = estimate_receiver_known(kb.sent, tx)
+    known = [state.known_mask(r) for r in receivers]
+    est_known = estimate_receiver_known(state.sent, tx)
     scheme, gamma, s_min = config.scheme, config.gamma, spec.relevance.s_min
 
     eps = None
@@ -182,7 +174,7 @@ def run_slot(state: SimState, tx: int, rng: np.random.Generator) -> tuple[int, l
 
     sent = mask_of(selected)
     assert len(selected) <= gamma and sent & ~local == 0
-    kb.sent[tx] = sent
+    state.sent[tx] = sent
     return sent, known, eps
 
 
@@ -206,7 +198,7 @@ def run_episode(objects: np.recarray, fleet: Fleet, relevance: list[RelevanceFun
     aggregation = spec.sv_aggregation
     record_tx = acc.record_transmission
     record_hrr = acc.record_awareness_snapshot
-    knowledge, views = state.knowledge, state._views
+    views = state._views
     for t in range(spec.slots):
         tx = t % n
         sent, known, eps = run_slot(state, tx, rng)
@@ -215,7 +207,7 @@ def run_episode(objects: np.recarray, fleet: Fleet, relevance: list[RelevanceFun
         _, values, low = views[tx]
         record_tx(sent, values, known, low, config.gamma, aggregation, eps)
         after = [mask | sent for mask in known]
-        after.insert(tx, knowledge.known_mask(tx))
+        after.insert(tx, state.known_mask(tx))
         for mask, rel in zip(after, relevance):
             record_hrr(mask, rel)
     return acc

@@ -144,14 +144,12 @@ def _run_cell(episode: EpisodeConfig) -> SweepRow:
 
 
 def _worker_count() -> int:
+    """One worker per CPU the process may run on, capped by RELEVANCE_SIM_THREADS."""
     raw = os.environ.get("RELEVANCE_SIM_THREADS", "").strip()
-    if raw:
-        if not raw.isdecimal() or int(raw) < 1:
-            raise ConfigError(f"RELEVANCE_SIM_THREADS must be an integer >= 1, got {raw!r}")
-        return int(raw)
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    if raw and (not raw.isdecimal() or int(raw) < 1):
+        raise ConfigError(f"RELEVANCE_SIM_THREADS must be an integer >= 1, got {raw!r}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(int(raw), cpus) if raw else cpus
 
 
 def run_sweep(

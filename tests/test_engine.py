@@ -51,8 +51,8 @@ def _semantic_state(detected, receiver_local, receiver_sent, k=30, width=1.0,
     objects, fleet = place_objects(spec.scene, rng), spawn_vehicles(spec.scene, rng)
     state = new_sim_state(objects, fleet, relevance, EpisodeConfig(spec, scheme, 1))
     state._probs[0] = np.isin(np.arange(k), detected).astype(float)
-    state.knowledge.local[1] = receiver_local
-    state.knowledge.sent[1] = receiver_sent
+    state.local[1] = receiver_local
+    state.sent[1] = receiver_sent
     return state, rng
 
 
@@ -111,11 +111,11 @@ def test_round_robin_transmitter_order(monkeypatch):
         txs = []
 
         def recording_slot(state, tx, rng):
-            before = list(state.knowledge.local)
+            before = list(state.local)
             result = slot(state, tx, rng)
             txs.append(tx)
             for v in _receivers(tx, vehicles):
-                assert state.knowledge.local[v] == before[v]
+                assert state.local[v] == before[v]
             return result
 
         monkeypatch.setattr(engine, "run_slot", recording_slot)
@@ -131,7 +131,6 @@ def test_round_robin_transmitter_order(monkeypatch):
 def test_expiry_boundary_is_one_full_cycle():
     n = 4
     state, rng, _ = _fresh_state(30, vehicles=n, gamma=10)
-    kb = state.knowledge
     messages = {}
     uncovered = 0
     for t in range(4 * n):
@@ -139,9 +138,9 @@ def test_expiry_boundary_is_one_full_cycle():
         if tx in messages:
             # One slot short of a full cycle: the previous message is still
             # in every receiver's known mask.
-            assert kb.sent[tx] == messages[tx]
+            assert state.sent[tx] == messages[tx]
             for r in _receivers(tx, n):
-                assert messages[tx] & ~kb.known_mask(r) == 0
+                assert messages[tx] & ~state.known_mask(r) == 0
         _, known, _ = run_slot(state, tx, rng)
         # Exactly one cycle old: gone at the start of the sender's slot, so
         # each receiver's mask before delivery holds only its own snapshot and
@@ -151,31 +150,30 @@ def test_expiry_boundary_is_one_full_cycle():
             for s, m in messages.items():
                 if s not in (r, tx):
                     others |= m
-            assert mask == kb.local[r] | others
+            assert mask == state.local[r] | others
             uncovered |= messages.get(tx, 0) & ~mask
-        messages[tx] = kb.sent[tx]
+        messages[tx] = state.sent[tx]
     assert uncovered  # some expired id was known only through its message
 
 
 def test_delivery_is_lossless_and_history_matches():
     state, rng, _ = _fresh_state(32, vehicles=4, gamma=5)
-    kb = state.knowledge
     for t in range(12):
         tx = t % 4
         sent, _, _ = run_slot(state, tx, rng)
-        assert kb.sent[tx] == sent
+        assert state.sent[tx] == sent
         for r in _receivers(tx, 4):
-            assert kb.sent[tx] & ~kb.known_mask(r) == 0
+            assert state.sent[tx] & ~state.known_mask(r) == 0
 
 
 def test_sender_entry_changes_only_on_its_own_slots():
     state, rng, _ = _fresh_state(33, vehicles=4, gamma=3)
     for t in range(24):
-        before = list(state.knowledge.sent)
+        before = list(state.sent)
         run_slot(state, t % 4, rng)
         for sender in range(4):
             if sender != t % 4:
-                assert state.knowledge.sent[sender] == before[sender]
+                assert state.sent[sender] == before[sender]
 
 
 def test_budget_and_locality_hold_every_slot():
@@ -184,39 +182,37 @@ def test_budget_and_locality_hold_every_slot():
         for t in range(40):
             sent, _, _ = run_slot(state, t % 2, rng)
             assert sent.bit_count() <= 4
-            assert sent & ~state.knowledge.local[t % 2] == 0
+            assert sent & ~state.local[t % 2] == 0
 
 
 def test_known_set_is_local_union_valid_entries():
     state, rng, _ = _fresh_state(35, vehicles=4, gamma=6)
     n = 4
-    kb = state.knowledge
     history = {}  # sender -> (message ids, slot)
     for t in range(20):
         sent, _, _ = run_slot(state, t % n, rng)
         history[t % n] = (ids_of(sent), t)
         for v in range(n):
-            valid = set(ids_of(kb.local[v]))
+            valid = set(ids_of(state.local[v]))
             for sender, (ids, slot) in history.items():
                 if sender != v and t - slot < n:
                     valid |= set(ids)
-            assert set(ids_of(kb.known_mask(v))) == valid
+            assert set(ids_of(state.known_mask(v))) == valid
 
 
 def test_redundancy_flags_match_receiver_state_before_delivery():
     state, rng, _ = _fresh_state(36, vehicles=2, gamma=8)
     n = 2
-    kb = state.knowledge
     for t in range(16):
         # Receiver state before delivery: its snapshot plus the messages of
         # senders other than itself and the (now expiring) transmitter.
         tx = t % n
         snapshot = []
         for r in _receivers(tx, n):
-            mask = kb.local[r]
+            mask = state.local[r]
             for s in range(n):
                 if s not in (r, tx):
-                    mask |= kb.sent[s]
+                    mask |= state.sent[s]
             snapshot.append(mask)
         _, known, _ = run_slot(state, tx, rng)
         assert known == snapshot
@@ -248,11 +244,10 @@ def test_receiver_view_and_knowledge_after_delivery(monkeypatch):
     # plus the message ...
     n = 4
     state, rng, _ = _fresh_state(44, vehicles=n, gamma=5)
-    kb = state.knowledge
     for t in range(12):
         sent, known, _ = run_slot(state, t % n, rng)
         for r, mask in zip(_receivers(t % n, n), known):
-            assert mask | sent == kb.known_mask(r)
+            assert mask | sent == state.known_mask(r)
     # ... and the loop hands the metrics the ids below s_min for every receiver.
     rels, calls = _recorded_transmissions(monkeypatch, 44, n, 5, 12)
     for tx, _, low in calls:
@@ -284,7 +279,7 @@ def test_all_low_relevance_yields_empty_messages():
     for t in range(6):
         sent, _, _ = run_slot(state, t % 2, rng)
         assert sent == 0
-        assert state.knowledge.sent[t % 2] == 0
+        assert state.sent[t % 2] == 0
 
 
 def test_episode_is_deterministic():

@@ -172,6 +172,13 @@ def test_default_worker_count_follows_cpu_affinity(monkeypatch):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     assert harness._worker_count() == 1
+    # RELEVANCE_SIM_THREADS caps the count and never raises it above the CPUs
+    # the process may run on (no pool is started here).
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "8")
+    assert harness._worker_count() == 1
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert harness._worker_count() == 1
 
 
 def test_worker_count_env_validation(monkeypatch):
