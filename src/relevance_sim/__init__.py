@@ -5,7 +5,6 @@ from .engine import SimState as KnowledgeBase
 from .harness import (
     ConfigError,
     ExperimentSpec,
-    Mode,
     SweepRow,
     emit_csv,
     parse_config,

@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     if args.config is not None:
         try:
-            with open(args.config, encoding="utf-8-sig") as f:  # a leading BOM is not a key
+            with open(args.config, encoding="utf-8") as f:
                 text = f.read()
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config file: {e}") from e

@@ -25,13 +25,6 @@ DEFAULT_GAMMAS = tuple(range(1, 26))
 SEED_CONTRACT = 1
 
 
-class Mode(Enum):
-    """Topology: 2 vehicles exchange unicast messages, more broadcast them."""
-
-    UNICAST = "unicast"
-    BROADCAST = "broadcast"
-
-
 class ConfigError(ValueError):
     """Raised for unparseable, unknown, or out-of-range configuration input."""
 
@@ -49,9 +42,10 @@ class ExperimentSpec:
     sv_aggregation: Aggregation = Aggregation.MAX
 
     @property
-    def mode(self) -> Mode:
-        """Derived from the scene, so it cannot disagree with the vehicle count."""
-        return Mode.UNICAST if self.scene.vehicle_count == 2 else Mode.BROADCAST
+    def mode(self) -> str:
+        """The topology, derived from the scene so it cannot disagree with the
+        vehicle count: 2 vehicles exchange unicast messages, more broadcast them."""
+        return "unicast" if self.scene.vehicle_count == 2 else "broadcast"
 
     def validate(self) -> None:
         """The one check of what a run accepts, naming the key(s) at fault: every
@@ -85,7 +79,7 @@ def derive_rng(seed: int, scheme: SchemeKind, gamma: int, replication: int) -> n
 class SweepRow:
     """One (scheme, gamma) cell; the fields, in order, are the CSV columns."""
 
-    mode: Mode
+    mode: str
     scheme: SchemeKind
     gamma: int
     replications: int
@@ -195,11 +189,7 @@ def _duration(seconds: float) -> str:
 def _fmt(value: object) -> str:
     if value is None:
         return ""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".6g")
+    return format(value, ".6g") if isinstance(value, float) else _show(value)
 
 
 def render_csv(rows: list[SweepRow]) -> str:
@@ -340,9 +330,9 @@ def with_value(spec: ExperimentSpec, key: str, value: object) -> ExperimentSpec:
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse the config document; every key it does not mention keeps its
-    experiment default."""
+    experiment default. One leading byte-order mark is not part of the text."""
     values: dict[tuple[str, ...], object] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

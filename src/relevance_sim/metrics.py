@@ -90,7 +90,7 @@ class MetricsAccumulator:
         """One HRR sample: fraction of the vehicle's own high-relevance objects
         currently known to it.  Vehicles with no high-relevance objects are
         skipped rather than counted as zero."""
-        high = rel.high_count
+        high = rel.high_mask.bit_count()
         if high == 0:
             return
         self.hrr_sum += (known_mask & rel.high_mask).bit_count() / high
@@ -98,7 +98,10 @@ class MetricsAccumulator:
 
     def merge(self, other: MetricsAccumulator) -> MetricsAccumulator:
         """Combine two shards of the same stream (associative, commutative):
-        the mask of distinct ids is a union, every other total a sum."""
+        the mask of distinct ids is a union, every other total a sum.
+        `harness._run_cell` also merges different episodes, where object ids
+        name different objects and the `tx_seen_mask` union has no meaning; the
+        row takes `tx_multiplicity` from the per-episode values instead."""
         out = MetricsAccumulator()
         for f in fields(self):
             a, b = getattr(self, f.name), getattr(other, f.name)

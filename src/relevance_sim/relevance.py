@@ -34,19 +34,16 @@ def _mask_of_flags(flags: np.ndarray) -> int:
 class RelevanceFunction:
     values: tuple[float, ...]
     # Derived, cached for the hot loop, as bitmasks over object ids: the ids
-    # with a nonzero value and their count, and the ids valued below s_min.
-    # Required, so `from_values` is the one way to get them right.
+    # with a nonzero value, and the ids valued below s_min. Required, so
+    # `from_values` is the one way to get them right.
     high_mask: int = field(repr=False)
-    high_count: int = field(repr=False)
     low_mask: int = field(repr=False)
 
     @staticmethod
     def from_values(values: np.ndarray, s_min: float) -> RelevanceFunction:
-        high_mask = _mask_of_flags(values > 0.0)
         return RelevanceFunction(
             values=tuple(values.tolist()),
-            high_mask=high_mask,
-            high_count=high_mask.bit_count(),
+            high_mask=_mask_of_flags(values > 0.0),
             low_mask=_mask_of_flags(values < s_min),
         )
 

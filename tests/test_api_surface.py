@@ -12,12 +12,23 @@ rule that only the tests need belongs in `tests/reference.py`.
 Every name a module imports must be read as a name somewhere in that module,
 so a deletion cannot leave an import behind. The package root, whose imports
 are its exports, and `from __future__` are exempt.
+
+README's "The package root exports …" sentence names exactly those exports.
 """
 import ast
 import pathlib
 import re
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "relevance_sim"
+README = PACKAGE.parents[1] / "README.md"
+
+
+def _exports(package: pathlib.Path) -> set[str]:
+    """The names the package root imports, which are its exports."""
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
 
 
 def _public_names(node: ast.stmt) -> list[str]:
@@ -38,9 +49,7 @@ def unreferenced_definitions(package: pathlib.Path) -> list[str]:
     """`module:line name` for each public top-level definition or constant in
     `package` that its code never references outside the definition itself."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
-    exported = {alias.asname or alias.name
-                for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+    exported = _exports(package)
     references: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -135,3 +144,11 @@ def test_guard_flags_an_import_its_module_never_reads(tmp_path):
     # only in their import, a docstring, an assignment or a string. The package
     # root's re-exports are exempt.
     assert unused_imports(tmp_path) == ["core.py:4 np", "core.py:5 Enum", "core.py:7 Mode"]
+
+
+def test_readme_names_exactly_the_package_root_exports():
+    # The sentence runs from "The package root exports" to its first ";",
+    # and every backquoted name in it is one export. Line breaks are spaces.
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = readme.split("The package root exports", 1)[1].split(";", 1)[0]
+    assert set(re.findall(r"`(\w+)`", sentence)) == _exports(PACKAGE)

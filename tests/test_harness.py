@@ -11,7 +11,6 @@ import pytest
 from relevance_sim import (
     ConfigError,
     MetricsAccumulator,
-    Mode,
     SchemeKind,
     SweepRow,
     emit_csv,
@@ -44,11 +43,11 @@ def _tiny_spec(vehicle_count=2, **overrides):
 def test_preset_topologies():
     for name in ("fig5", "fig6", "fig7"):
         spec = preset(name)
-        assert spec.mode is Mode.UNICAST
+        assert spec.mode == "unicast"
         assert spec.scene.vehicle_count == 2
     for name in ("fig8", "fig9", "fig10"):
         spec = preset(name)
-        assert spec.mode is Mode.BROADCAST
+        assert spec.mode == "broadcast"
         assert spec.scene.vehicle_count == 4
     with pytest.raises(ConfigError):
         preset("fig11")
@@ -111,7 +110,7 @@ def test_single_cell_sweep_yields_one_row(monkeypatch):
     rows = run_sweep(_tiny_spec(replications=1))
     assert len(rows) == 1
     row = rows[0]
-    assert (row.mode, row.scheme, row.gamma) == (Mode.UNICAST, SchemeKind.RM, 5)
+    assert (row.mode, row.scheme, row.gamma) == ("unicast", SchemeKind.RM, 5)
     assert row.replications == 1
     # A single replication cannot support a confidence interval.
     assert row.hrr_ci is None and row.se_ci is None
@@ -356,7 +355,7 @@ def test_an_int_is_accepted_where_a_float_is_parsed():
 # --- CSV ------------------------------------------------------------------------
 
 def _row(**overrides):
-    base = dict(mode=Mode.UNICAST, scheme=SchemeKind.BASELINE, gamma=1,
+    base = dict(mode="unicast", scheme=SchemeKind.BASELINE, gamma=1,
                 replications=2, hrr=0.5, hrr_ci=0.01, mean_sv=1.25, mean_sv_ci=0.02,
                 lrr=0.1, lrr_ci=0.005, usage=0.9, usage_ci=0.01, se=0.4, se_ci=0.01,
                 mean_eps=None, tx_multiplicity=3.5)
@@ -399,6 +398,14 @@ def test_empty_config_is_the_default_unicast_spec():
     assert spec == preset("fig5")
 
 
+def test_a_leading_byte_order_mark_is_not_part_of_the_config():
+    assert parse_config("\ufeffrun.seed = 1\n") == parse_config("run.seed = 1\n")
+    # Only one, and only at the start: anywhere else it is part of a key.
+    for text in ("\ufeff\ufeffrun.seed = 1\n", "run.slots = 20\n\ufeffrun.seed = 1\n"):
+        with pytest.raises(ConfigError, match=re.escape(r"unknown key '\ufeffrun.seed'")):
+            parse_config(text)
+
+
 def test_config_overrides_and_provenance():
     text = """
     # topology
@@ -409,7 +416,7 @@ def test_config_overrides_and_provenance():
     relevance.delta_L = 0.6
     """
     spec = parse_config(text)
-    assert spec.mode is Mode.BROADCAST
+    assert spec.mode == "broadcast"
     assert spec.scene.vehicle_count == 4
     assert spec.gammas == (1, 2, 3, 4, 5, 6)
     assert spec.replications == 50
@@ -542,10 +549,10 @@ def test_readme_config_table_spells_out_every_key():
 
 def test_mode_follows_vehicle_count():
     spec = parse_config("scene.vehicle_count = 3\n")
-    assert spec.mode is Mode.BROADCAST
-    assert dataclasses.replace(spec, scene=preset("fig5").scene).mode is Mode.UNICAST
+    assert spec.mode == "broadcast"
+    assert dataclasses.replace(spec, scene=preset("fig5").scene).mode == "unicast"
     with pytest.raises(TypeError):
-        dataclasses.replace(spec, mode=Mode.UNICAST)
+        dataclasses.replace(spec, mode="unicast")
 
 
 def test_config_gamma_list_and_scheme_names():

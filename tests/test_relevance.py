@@ -25,7 +25,7 @@ def test_derived_masks_cannot_be_left_out():
     with pytest.raises(TypeError):
         RelevanceFunction((0.9, 0.0))
     rel = RelevanceFunction.from_values(np.array([0.9, 0.0, 0.03]), 0.05)
-    assert (rel.high_mask, rel.high_count, rel.low_mask) == (0b101, 2, 0b110)
+    assert (rel.high_mask, rel.low_mask) == (0b101, 0b110)
 
 
 def test_correlation_reference_points():
