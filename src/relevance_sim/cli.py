@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 failed
 oracle check, 4 failed run (an episode raised; the message names its
-scheme, budget and replication).
+scheme, budget and replication, and the exception, on any worker count).
 """
 from __future__ import annotations
 
@@ -85,7 +85,7 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
 def _cmd_run(args: argparse.Namespace) -> int:
     # `--out` is made only after the sweep, so refuse first a path that cannot
     # become a directory: an empty one, or one whose nearest existing part is
-    # not a directory.
+    # not a directory or cannot be written.
     if not args.out:
         print("error: --out must not be empty", file=sys.stderr)
         return USAGE_ERROR
@@ -94,6 +94,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         print(f"error: --out {args.out} is not a directory", file=sys.stderr)
+        return USAGE_ERROR
+    if not os.access(existing, os.W_OK | os.X_OK):
+        print(f"error: --out {args.out} is not writable", file=sys.stderr)
         return USAGE_ERROR
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     spec = configured = _load_spec(args)
@@ -105,8 +108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         rows = run_sweep(spec, progress=progress)
     except RuntimeError as e:
-        cause = f": {e.__cause__!r}" if e.__cause__ is not None else ""
-        print(f"run failed: {e}{cause}", file=sys.stderr)
+        print(f"run failed: {e}", file=sys.stderr)
         return RUN_FAILED
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")

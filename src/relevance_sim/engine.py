@@ -17,19 +17,20 @@ transmits again, so:
 - the channel estimate of what the receivers know is `OR(sent[s] for s != tx)`;
 - expiry clears `sent[tx]` at the start of tx's own slot.
 
-The episode's vehicles are held once, as the `Fleet` that `spawn_vehicles`
-returns; the relevance functions are built from its spawn positions before
-the first slot.  The scene's objects are the record array `place_objects`
-returns; its `position` field is the (K, 2) array of object positions, row k
-for object k, so object ids are row indices, bit positions and value-vector
-indices alike.  Geometry is cached per episode: that array and each
-vehicle's detection probabilities.  In a constant-velocity episode every
-slot first moves all vehicles one step in place (`advance_mobility` on the
-fleet) and then computes the transmitter's probabilities, which are never
-needed before; static episodes compute them once, before the first slot.
-The detection curve and the mobility mode are read from the run's
-`SceneConfig`.  Each transmitter's view of its receivers is built once too;
-`run_slot` returns only what the slot decided, and the loop reads the view.
+The episode's vehicles are its own copy of the `Fleet` that `spawn_vehicles`
+returns, so a run leaves its inputs unchanged; the relevance functions are
+built from the spawn positions before the first slot.  The scene's objects are
+the record array `place_objects` returns; its `position` field is the (K, 2)
+array of object positions, row k for object k, so object ids are row indices,
+bit positions and value-vector indices alike.  Geometry is cached per episode:
+that array and each vehicle's detection probabilities.  In a constant-velocity
+episode every slot first moves all vehicles one step (`advance_mobility` on
+the episode's fleet) and then computes the transmitter's probabilities, which
+are never needed before; static episodes compute them once, before the first
+slot.  The detection curve and the mobility mode, which no other module reads,
+come from the run's `SceneConfig`.  Each transmitter's view of its receivers
+is built once too; `run_slot` returns only what the slot decided, and the loop
+reads the view.
 """
 from __future__ import annotations
 
@@ -122,7 +123,7 @@ def new_sim_state(
         config=config,
         local=[0] * n,
         sent=[0] * n,
-        fleet=fleet,
+        fleet=Fleet(list(fleet.positions), fleet.tracks),
         _xy=xy,
         _probs=probs,
         _views=views,
@@ -183,8 +184,8 @@ def run_episode(objects: np.recarray, fleet: Fleet, relevance: list[RelevanceFun
     """Run the slot loop on the scene given and accumulate metrics.
 
     The scene is what `place_objects`, `spawn_vehicles` and
-    `build_relevance_functions` return.  A constant-velocity episode moves
-    `fleet` in place, so running one scene twice takes a copy of its fleet.
+    `build_relevance_functions` return; the episode moves its own copy of
+    `fleet`, so the inputs are left unchanged.
     The first N slots are warm-up — every vehicle transmits once so estimated
     redundancy and expiry reach steady state — and contribute no samples.
     After delivery a receiver knows what it knew before plus the message, so

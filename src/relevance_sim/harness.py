@@ -120,7 +120,7 @@ def _run_cell(episode: EpisodeConfig) -> SweepRow:
             acc = run_episode_accumulator(episode, derive_rng(spec.seed, scheme, gamma, rep))
         except Exception as e:
             raise RuntimeError(
-                f"episode failed: scheme={scheme.value} gamma={gamma} replication={rep}"
+                f"episode failed: scheme={scheme.value} gamma={gamma} replication={rep}: {e!r}"
             ) from e
         per_rep.append(acc.finalize())
         merged = merged.merge(acc)
@@ -282,7 +282,6 @@ _RULES: tuple[tuple[tuple[str, ...], Callable[..., bool], str], ...] = (
     (("scene.object_count",), lambda n: n >= 0, "be >= 0"),
     (("scene.vehicle_count",), lambda n: n >= 2, "be >= 2 (a transmitter and a receiver)"),
     (("scene.vehicle_speed",), lambda x: x >= 0, "be >= 0"),
-    (("scene.slot_duration",), lambda x: x > 0, "be > 0"),
     (("scene.detection_a1",), lambda x: x >= 0, "be >= 0"),
     (("relevance.delta_L",), lambda x: 0 <= x <= 1, "lie in [0, 1]"),
     (("relevance.high_min",), lambda x: x > 0, "be > 0"),

@@ -6,9 +6,9 @@ The scene's objects are one NumPy record array, one record per object:
 array of object positions that the detection curve consumes, so object k is
 row k.  A `Fleet` is the one representation of an episode's vehicles: their
 current positions plus, per vehicle, the origin->destination track it moves
-along.  `spawn_vehicles` draws it and `advance_mobility` moves it one step in
-place.  The detection curve and the mobility mode are read from `SceneConfig`
-only.
+along.  `spawn_vehicles` draws it and `advance_mobility` moves it one 0.1 s
+slot in place; whether an episode moves at all is the engine's decision.  The
+detection curve is read from `SceneConfig` only.
 """
 from __future__ import annotations
 
@@ -31,8 +31,7 @@ class SceneConfig:
     object_count: int = 110
     vehicle_count: int = 2
     mobility_mode: MobilityMode = MobilityMode.STATIC_EPISODE
-    vehicle_speed: float = 14.0
-    slot_duration: float = 0.1
+    vehicle_speed: float = 14.0  # m/s; one slot is 0.1 s
     # Logistic detection probability: P(d) = 1 / (1 + a1 * exp(-a2 * (d - a3)))
     detection_a1: float = 0.08
     detection_a2: float = -0.08
@@ -77,8 +76,8 @@ class Fleet:
 
     `positions[v]` is vehicle v's current position. `tracks[v]` holds what
     stays constant along its origin->destination segment: origin x and y,
-    direction dx and dy, segment length, and metres per slot (0 in a static
-    episode).
+    direction dx and dy, segment length, and metres per 0.1 s slot at the
+    scene's speed.
     """
 
     positions: list[tuple[float, float]]
@@ -91,8 +90,7 @@ def spawn_vehicles(config: SceneConfig, rng: np.random.Generator) -> Fleet:
     # the same coordinates, in the order origin x, y, destination x, y, as
     # four scalar uniform draws.
     scale = np.array((config.width, config.height, config.width, config.height))
-    moving = config.mobility_mode is MobilityMode.CONSTANT_VELOCITY
-    step = config.vehicle_speed * config.slot_duration if moving else 0.0
+    step = config.vehicle_speed * 0.1  # metres per 0.1 s slot
     positions, tracks = [], []
     for _ in range(config.vehicle_count):
         while True:
@@ -108,8 +106,8 @@ def spawn_vehicles(config: SceneConfig, rng: np.random.Generator) -> Fleet:
 def advance_mobility(fleet: Fleet) -> None:
     """Move every vehicle one time step along its segment, in place.
 
-    Vehicles clamp at the destination instead of overshooting or respawning;
-    in a static episode they stay where they are. Each vehicle's new position
+    Vehicles clamp at the destination instead of overshooting or respawning.
+    Only a constant-velocity episode calls this. Each vehicle's new position
     is worked out from its current one: the distance travelled so far
     (`math.hypot`) plus the step, clamped to the segment length. A closed
     form over the slot count, or numpy's `hypot`, would change the low bits

@@ -170,8 +170,6 @@ def select_semantic(
     budget cut.
     """
     fresh = ids_of(local & ~est_known)
-    if not fresh:
-        return []
     # One uniform draw per (variable, receiver) pair, consumed in (k, r) order.
     # The interval is deliberately not clamped to the value range.
     u = rng.random(len(fresh) * len(values)).tolist()

@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, emitted files."""
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 from relevance_sim import cli, engine, harness
 
@@ -191,20 +194,46 @@ def test_non_finite_config_exits_2_before_running(tmp_path):
     assert not out.exists()
 
 
-def test_failing_episode_exits_4_naming_the_cell(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failing_episode_exits_4_naming_the_cell(tmp_path, monkeypatch, capsys, threads):
+    # Forked workers inherit the patched episode. Cells finish in any order on
+    # two workers, so there the failing cell is not pinned, only the line's shape.
     def broken(config, rng):
         raise ArithmeticError("injected fault")
 
-    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", threads)
     monkeypatch.setattr(harness, "run_episode_accumulator", broken)
     out = tmp_path / "o"
     code = cli.main(["run", "--preset", "fig5", "--out", str(out),
                      "--replications", "2", "--slots", "20", "--quiet"])
     assert code == cli.RUN_FAILED == 4
     err = capsys.readouterr().err
-    assert "run failed: episode failed: scheme=Baseline gamma=1 replication=0" in err
-    assert "injected fault" in err
+    if threads == "1":
+        assert err == ("run failed: episode failed: scheme=Baseline gamma=1 replication=0: "
+                       "ArithmeticError('injected fault')\n")
+    assert re.fullmatch(r"run failed: episode failed: scheme=\w+ gamma=\d+ replication=0: "
+                        r"ArithmeticError\('injected fault'\)\n", err), err
+    assert "RemoteTraceback" not in err
     assert not out.exists()  # no empty --out left behind
+
+
+def test_out_that_cannot_be_written_is_a_usage_error_before_any_cell(tmp_path, monkeypatch,
+                                                                     capsys):
+    # Root may write anywhere, so the refusal is shown through os.access.
+    def episode(config, rng):
+        raise AssertionError("no cell may run")
+
+    access = os.access
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(tmp_path)
+                        and access(path, mode))
+    monkeypatch.setenv("RELEVANCE_SIM_THREADS", "1")
+    monkeypatch.setattr(harness, "run_episode_accumulator", episode)
+    for out in (tmp_path / "o", tmp_path / "o" / "sub"):
+        code = cli.main(["run", "--preset", "fig5", "--out", str(out),
+                         "--replications", "1", "--slots", "4"])
+        assert code == cli.USAGE_ERROR == 1
+        assert capsys.readouterr().err == f"error: --out {out} is not writable\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_bad_worker_count_exits_2(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from relevance_sim.engine import (
 )
 from relevance_sim.metrics import MetricsAccumulator
 from relevance_sim.relevance import RelevanceFunction, RelevanceParams, build_relevance_functions
-from relevance_sim.scenario import Fleet, MobilityMode, SceneConfig, place_objects, spawn_vehicles
+from relevance_sim.scenario import MobilityMode, SceneConfig, place_objects, spawn_vehicles
 from relevance_sim.schemes import EstimationModel, estimation_error, ids_of
 
 PARAMS = RelevanceParams()
@@ -323,6 +323,16 @@ def test_constant_velocity_vehicles_move_during_episode():
     assert all(a != b for a, b in zip(state.fleet.positions, start))
 
 
+def test_a_static_episode_never_moves_its_fleet():
+    # Every track steps 1.4 m per slot, but only a constant-velocity episode moves.
+    state, rng, _ = _fresh_state(45, vehicles=3)
+    start = list(state.fleet.positions)
+    assert all(track[5] == 14.0 * 0.1 for track in state.fleet.tracks)
+    for t in range(60):
+        run_slot(state, t % 3, rng)
+    assert state.fleet.positions == start
+
+
 @pytest.mark.parametrize("mobility", list(MobilityMode))
 def test_run_episode_on_a_scene_drawn_by_hand_equals_run_episode_accumulator(mobility):
     # Drawn in the order run_episode_accumulator draws it, the scene leaves
@@ -337,19 +347,18 @@ def test_run_episode_on_a_scene_drawn_by_hand_equals_run_episode_accumulator(mob
     assert by_hand == drawn
 
 
-def test_a_moving_scene_runs_alike_on_copies_of_its_fleet():
-    # run_episode moves a moving fleet in place, so a scene run twice is run
-    # on a copy of its fleet each time.
+def test_a_moving_scene_runs_alike_twice_on_one_fleet():
+    # The episode moves its own copy of the fleet, so the scene's fleet stays
+    # at its spawn positions and a second run on it is the same episode.
     spec = ExperimentSpec(
         scene=SceneConfig(vehicle_count=3, mobility_mode=MobilityMode.CONSTANT_VELOCITY),
         relevance=PARAMS, slots=24)
     config = EpisodeConfig(spec, SchemeKind.SEMANTIC, 4)
     objects, fleet, relevance = _draw_scene(spec, np.random.default_rng(51))
-    runs = []
-    for _ in range(2):
-        copy = Fleet(list(fleet.positions), list(fleet.tracks))
-        runs.append(run_episode(objects, copy, relevance, config, np.random.default_rng(52)))
-        assert copy.positions != fleet.positions  # the copy moved, the scene's fleet did not
+    spawned = list(fleet.positions)
+    runs = [run_episode(objects, fleet, relevance, config, np.random.default_rng(52))
+            for _ in range(2)]
+    assert fleet.positions == spawned
     assert runs[0] == runs[1]
 
 

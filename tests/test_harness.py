@@ -60,7 +60,6 @@ def test_preset_parameters_are_frozen():
         "scene.width": "800.0", "scene.height": "200.0",
         "scene.object_count": "110", "scene.vehicle_count": "2",
         "scene.mobility_mode": "static", "scene.vehicle_speed": "14.0",
-        "scene.slot_duration": "0.1",
         "scene.detection_a1": "0.08", "scene.detection_a2": "-0.08",
         "scene.detection_a3": "60.0",
         "relevance.delta_L": "0.7", "relevance.high_min": "0.5",
@@ -232,7 +231,6 @@ RANGE_RULES = [
     (("scene.object_count",), {"scene.object_count": -1}, {"scene.object_count": 0}),
     (("scene.vehicle_count",), {"scene.vehicle_count": 1}, {"scene.vehicle_count": 2}),
     (("scene.vehicle_speed",), {"scene.vehicle_speed": -1e-9}, {"scene.vehicle_speed": 0.0}),
-    (("scene.slot_duration",), {"scene.slot_duration": 0.0}, {"scene.slot_duration": 1e-9}),
     (("scene.detection_a1",), {"scene.detection_a1": -1.0}, {"scene.detection_a1": 0.0}),
     (("relevance.delta_L",), {"relevance.delta_L": 1.4}, {"relevance.delta_L": 1.0}),
     (("relevance.delta_L",), {"relevance.delta_L": -0.1}, {"relevance.delta_L": 0.0}),
@@ -457,7 +455,6 @@ scene.object_count = 60
 scene.vehicle_count = 3
 scene.mobility_mode = constant_velocity
 scene.vehicle_speed = 20.5
-scene.slot_duration = 0.2
 scene.detection_a1 = 0.09
 scene.detection_a2 = -0.07
 scene.detection_a3 = 55.0
@@ -580,6 +577,9 @@ def test_config_errors_carry_line_numbers():
         parse_config("\nwhat is this\n")
     with pytest.raises(ConfigError, match="line 1.*unknown key"):
         parse_config("scene.depth = 4\n")
+    # One slot is 0.1 s, so scene.vehicle_speed is the one mobility rate.
+    with pytest.raises(ConfigError, match=re.escape("line 1: unknown key 'scene.slot_duration'")):
+        parse_config("scene.slot_duration = 0.1\n")
     with pytest.raises(ConfigError, match="line 3.*duplicate"):
         parse_config("run.seed = 1\n\nrun.seed = 2\n")
     with pytest.raises(ConfigError, match="line 1.*bad value"):

@@ -99,8 +99,8 @@ def test_place_objects_uniform_mean_x():
 
 
 def test_spawn_vehicles_fields_and_determinism():
-    for mobility, step in ((MobilityMode.STATIC_EPISODE, 0.0),
-                           (MobilityMode.CONSTANT_VELOCITY, 14.0 * 0.1)):
+    # Every track steps speed x 0.1 s per slot; whether it moves is the engine's call.
+    for mobility in MobilityMode:
         cfg = SceneConfig(vehicle_count=4, mobility_mode=mobility)
         fleet = spawn_vehicles(cfg, np.random.default_rng(3))
         assert len(fleet.positions) == len(fleet.tracks) == 4
@@ -108,7 +108,7 @@ def test_spawn_vehicles_fields_and_determinism():
             assert position == (ox, oy)  # vehicles start at their origin
             assert (dx, dy) != (0.0, 0.0)
             assert seg_len == math.hypot(dx, dy)
-            assert v_step == step
+            assert v_step == 14.0 * 0.1
             for x, y in ((ox, oy), (ox + dx, oy + dy)):
                 assert 0.0 <= x <= cfg.width and 0.0 <= y <= cfg.height
         again = spawn_vehicles(cfg, np.random.default_rng(3))
@@ -164,17 +164,6 @@ def test_object_at_vehicle_position_nearly_always_detected():
     rng = np.random.default_rng(23)
     hits = sum(0 in sample_local_set((100.0, 100.0), xy, COEFFS, rng) for _ in range(10_000))
     assert hits / 10_000 == pytest.approx(0.99934, abs=0.005)
-
-
-def test_advance_mobility_static_is_identity():
-    rng = np.random.default_rng(5)
-    cfg = SceneConfig()
-    place_objects(cfg, rng)
-    fleet = spawn_vehicles(cfg, rng)
-    start = list(fleet.positions)
-    for _ in range(50):
-        advance_mobility(fleet)
-    assert fleet.positions == start
 
 
 def _line_fleet():
