@@ -23,14 +23,14 @@ built from the spawn positions before the first slot.  The scene's objects are
 the record array `place_objects` returns; its `position` field is the (K, 2)
 array of object positions, row k for object k, so object ids are row indices,
 bit positions and value-vector indices alike.  Geometry is cached per episode:
-that array and each vehicle's detection probabilities.  In a constant-velocity
-episode every slot first moves all vehicles one step (`advance_mobility` on
-the episode's fleet) and then computes the transmitter's probabilities, which
-are never needed before; static episodes compute them once, before the first
-slot.  The detection curve and the mobility mode, which no other module reads,
-come from the run's `SceneConfig`.  Each transmitter's view of its receivers
-is built once too; `run_slot` returns only what the slot decided, and the loop
-reads the view.
+that array, and each vehicle's detection probabilities at its current
+position, computed in its slot when its draw first needs them.  A
+constant-velocity slot first moves all vehicles one step (`advance_mobility`
+on the episode's fleet) and drops every cached vector; a static episode
+computes each vehicle's once.  The detection curve and the mobility mode,
+which no other module reads, come from the run's `SceneConfig`.  Each
+transmitter's view of its receivers is built once too; `run_slot` returns only
+what the slot decided, and the loop reads the view.
 """
 from __future__ import annotations
 
@@ -85,13 +85,13 @@ class SimState:
     local: list[int]
     sent: list[int]
     fleet: Fleet
-    # Hot-loop caches: the object positions as one (K, 2) array, each
-    # vehicle's detection probabilities in a static episode (empty in a
-    # moving one), and per transmitter what its message meets, fixed for the
-    # episode: the other vehicles in ascending order, their value rows in that
-    # order, and the mask of ids valued below s_min by every one of them.
+    # Hot-loop caches: the object positions as one (K, 2) array, each vehicle's
+    # detection probabilities at its current position (filled by its slot,
+    # emptied when the fleet moves), and per transmitter what its message meets,
+    # fixed for the episode: the other vehicles in ascending order, their value
+    # rows in that order, and the mask of ids valued below s_min by every one.
     _xy: np.ndarray = field(repr=False)
-    _probs: list[np.ndarray] = field(repr=False)
+    _probs: dict[int, np.ndarray] = field(repr=False)
     _views: list[tuple[tuple[int, ...], list[tuple[float, ...]], int]] = field(repr=False)
 
     def known_mask(self, v: int) -> int:
@@ -106,12 +106,6 @@ def new_sim_state(
     config: EpisodeConfig,
 ) -> SimState:
     n = len(fleet.positions)
-    xy = objects.position
-    scene = config.spec.scene
-    coeffs = scene.detection_coeffs
-    # A moving vehicle's probabilities are computed in run_slot, before each draw.
-    static = scene.mobility_mode is MobilityMode.STATIC_EPISODE
-    probs = [detection_probability_vector(p, xy, coeffs) for p in fleet.positions] if static else []
     views = []
     for tx in range(n):
         receivers = tuple(r for r in range(n) if r != tx)
@@ -124,8 +118,8 @@ def new_sim_state(
         local=[0] * n,
         sent=[0] * n,
         fleet=Fleet(list(fleet.positions), fleet.tracks),
-        _xy=xy,
-        _probs=probs,
+        _xy=objects.position,
+        _probs={},
         _views=views,
     )
 
@@ -144,11 +138,12 @@ def run_slot(state: SimState, tx: int, rng: np.random.Generator) -> tuple[int, l
     scene = spec.scene
     if scene.mobility_mode is MobilityMode.CONSTANT_VELOCITY:
         advance_mobility(state.fleet)
-        probs = detection_probability_vector(
+        state._probs.clear()
+    probs = state._probs.get(tx)
+    if probs is None:
+        probs = state._probs[tx] = detection_probability_vector(
             state.fleet.positions[tx], state._xy, scene.detection_coeffs
         )
-    else:
-        probs = state._probs[tx]
 
     local = mask_of(sample_hits(probs, rng))
     state.local[tx] = local

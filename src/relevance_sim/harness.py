@@ -244,7 +244,10 @@ def _parse(hint: object, raw: str) -> object:
         item = get_args(hint)[0]
         if item is int and ".." in raw:
             lo, hi = raw.split("..", 1)
-            return tuple(range(int(lo), int(hi) + 1))
+            try:
+                return tuple(range(int(lo), int(hi) + 1))
+            except (OverflowError, MemoryError):
+                raise ValueError(f"range {raw!r} is too large") from None
         return tuple(_parse(item, part.strip()) for part in raw.split(","))
     if issubclass(hint, Enum):
         member = {m.value.lower(): m for m in hint}.get(raw.lower())

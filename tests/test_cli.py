@@ -298,6 +298,12 @@ def test_validate_echoes_resolved_config(tmp_path):
     bad = tmp_path / "vbad.cfg"
     bad.write_text("nonsense here\n")
     assert _run("validate", "--config", str(bad)).returncode == 2
+    # A range too large to build is a bad value naming its line, not a traceback.
+    for raw in ("1..1000000000000000000", "1..100000000000000000000"):
+        bad.write_text(f"run.gammas = {raw}\n")
+        proc = _run("validate", "--config", str(bad))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: line 1: bad value for run.gammas: "), proc.stderr
 
 
 def test_oracle_subcommand(tmp_path):

@@ -364,9 +364,10 @@ def test_a_moving_scene_runs_alike_twice_on_one_fleet():
 
 @pytest.mark.parametrize("mobility", list(MobilityMode))
 def test_detection_vectors_computed_only_where_drawn(monkeypatch, mobility):
-    # A static episode computes each vehicle's vector once, before the first
-    # slot; a moving one computes only the transmitter's, in each slot, just
-    # before its draw.  Every draw gets the very array a call returned.
+    # A vehicle's vector is computed in its slot, just before its draw, when
+    # none is cached for its position: once per vehicle in a static episode,
+    # and in every slot of a moving one, whose move drops the cache.  Every
+    # draw gets the very array a call returned.
     n, slots = 4, 16
     computed, drawn = [], []
     detect, draw = engine.detection_probability_vector, engine.sample_hits

@@ -584,6 +584,11 @@ def test_config_errors_carry_line_numbers():
         parse_config("run.seed = 1\n\nrun.seed = 2\n")
     with pytest.raises(ConfigError, match="line 1.*bad value"):
         parse_config("run.replications = many\n")
+    # Too long for a tuple, and too long for a C size: both fail before any
+    # allocation.  Never test a range that would really be built.
+    for raw in ("1..1000000000000000000", "1..100000000000000000000"):
+        with pytest.raises(ConfigError, match=re.escape(f"line 1: bad value for run.gammas: range '{raw}'")):
+            parse_config(f"run.gammas = {raw}\n")
 
 
 @pytest.mark.parametrize("key, value", [
