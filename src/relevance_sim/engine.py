@@ -11,11 +11,12 @@ Knowledge is held once, on the episode's `SimState`, as int bitmasks over
 object ids (K is small): `state.local[v]` is vehicle v's latest snapshot and
 `state.sent[s]` sender s's latest message.  Every receiver hears every
 message, and under round-robin a message expires exactly when its sender
-transmits again, so:
+transmits again, so the channel is `OR(sent)` and one rule gives knowledge:
 
-- vehicle v knows `local[v] | OR(sent[s] for s != v)`;
-- the channel estimate of what the receivers know is `OR(sent[s] for s != tx)`;
-- expiry clears `sent[tx]` at the start of tx's own slot.
+- vehicle v knows `local[v] | OR(sent)`;
+- v's own valid message lies inside its snapshot, so counting it changes nothing;
+- the transmitter's estimate of what its receivers know is `OR(sent)` once
+  its own message has expired at the start of its slot.
 
 The episode's vehicles are its own copy of the `Fleet` that `spawn_vehicles`
 returns, so a run leaves its inputs unchanged; the relevance functions are
@@ -52,7 +53,6 @@ from .scenario import (
 )
 from .schemes import (
     SchemeKind,
-    estimate_receiver_known,
     estimation_error,
     mask_of,
     select_baseline,
@@ -95,8 +95,19 @@ class SimState:
     _views: list[tuple[tuple[int, ...], list[tuple[float, ...]], int]] = field(repr=False)
 
     def known_mask(self, v: int) -> int:
-        """Vehicle v's snapshot united with every other sender's valid message."""
-        return self.local[v] | estimate_receiver_known(self.sent, v)
+        """Vehicle v's snapshot united with every valid message on the channel."""
+        return self.local[v] | estimate_receiver_known(self.sent)
+
+
+def estimate_receiver_known(sent: list[int]) -> int:
+    """The channel: the union of `sent`, each sender's latest message (0 once
+    expired).  As a transmitter's estimate of what its receivers know, it
+    excludes receiver-local detections nobody has transmitted; that blind
+    spot is what separates the semantic scheme from its ideal variant."""
+    mask = 0
+    for m in sent:
+        mask |= m
+    return mask
 
 
 def new_sim_state(
@@ -150,7 +161,7 @@ def run_slot(state: SimState, tx: int, rng: np.random.Generator) -> tuple[int, l
 
     receivers, values, _ = state._views[tx]
     known = [state.known_mask(r) for r in receivers]
-    est_known = estimate_receiver_known(state.sent, tx)
+    est_known = estimate_receiver_known(state.sent)
     scheme, gamma, s_min = config.scheme, config.gamma, spec.relevance.s_min
 
     eps = None
@@ -161,7 +172,7 @@ def run_slot(state: SimState, tx: int, rng: np.random.Generator) -> tuple[int, l
     elif scheme is SchemeKind.RM:
         selected = select_rm(local, est_known, gamma, rng)
     elif scheme is SchemeKind.SEMANTIC:
-        # tx's known mask: its snapshot plus every other sender's valid message.
+        # tx's known mask: its snapshot plus the channel.
         eps = estimation_error((local | est_known).bit_count(), spec.estimation)
         delta = spec.estimation.value_range_width * eps
         selected = select_semantic(local, est_known, values, gamma, s_min, delta, rng)

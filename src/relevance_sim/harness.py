@@ -17,12 +17,15 @@ from .engine import EpisodeConfig, run_episode_accumulator
 from .metrics import Aggregation, MetricsAccumulator
 from .relevance import RelevanceParams
 from .scenario import SceneConfig
-from .schemes import SCHEME_INDEX, EstimationModel, SchemeKind
+from .schemes import EstimationModel, SchemeKind
 
 DEFAULT_GAMMAS = tuple(range(1, 26))
 # Version of how episodes draw their random numbers; a change that draws
 # differently bumps it and regenerates tests/data/golden.csv.
 SEED_CONTRACT = 1
+# Each scheme's key in `derive_rng` and its place in the row order: its
+# position in `SchemeKind`, whose member order is part of seed contract 1.
+SCHEME_INDEX = {kind: i for i, kind in enumerate(SchemeKind)}
 
 
 class ConfigError(ValueError):

@@ -33,10 +33,6 @@ class SchemeKind(Enum):
     IDEAL_SEMANTIC = "IdealSemantic"
 
 
-# Stable per-scheme index used for seed derivation and row ordering.
-SCHEME_INDEX = {kind: i for i, kind in enumerate(SchemeKind)}
-
-
 @dataclass(frozen=True)
 class EstimationModel:
     # Logistic estimation error: eps(c) = 1 / (1 + a4 * exp(-a5 * (c - a6)))
@@ -84,21 +80,6 @@ def ids_of(mask: int) -> list[int]:
                 out.append(base + i)
         base += 8
     return out
-
-
-def estimate_receiver_known(sent: Sequence[int], transmitter: int) -> int:
-    """Union of every variable recently heard on the channel from others.
-
-    `sent` holds each sender's latest message mask, already cleared for a
-    sender whose message has expired.  The estimate deliberately excludes
-    receiver-local detections nobody has transmitted; that blind spot is what
-    separates the semantic scheme from its ideal variant.
-    """
-    mask = 0
-    for s, m in enumerate(sent):
-        if s != transmitter:
-            mask |= m
-    return mask
 
 
 def _random_subset(items: list[int], size: int, rng: np.random.Generator) -> list[int]:

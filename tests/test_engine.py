@@ -177,12 +177,53 @@ def test_sender_entry_changes_only_on_its_own_slots():
 
 
 def test_budget_and_locality_hold_every_slot():
-    for scheme in SchemeKind:
-        state, rng, _ = _fresh_state(34, scheme=scheme, gamma=4, vehicles=2)
-        for t in range(40):
-            sent, _, _ = run_slot(state, t % 2, rng)
-            assert sent.bit_count() <= 4
-            assert sent & ~state.local[t % 2] == 0
+    # Every vehicle's valid message lies inside its snapshot after every slot,
+    # which is why a vehicle's own message adds nothing to its known mask.
+    for vehicles in (2, 4):
+        for scheme in SchemeKind:
+            state, rng, _ = _fresh_state(34, scheme=scheme, gamma=4, vehicles=vehicles)
+            for t in range(20 * vehicles):
+                sent, _, _ = run_slot(state, t % vehicles, rng)
+                assert sent.bit_count() <= 4
+                for v in range(vehicles):
+                    assert state.sent[v] & ~state.local[v] == 0
+
+
+def test_the_channel_unites_every_sent_entry():
+    assert engine.estimate_receiver_known([]) == 0
+    assert engine.estimate_receiver_known([0, 0, 0]) == 0
+    assert ids_of(engine.estimate_receiver_known([0b110, 0, 0b1100])) == [1, 2, 3]
+    assert ids_of(engine.estimate_receiver_known([0b1, 0b10])) == [0, 1]
+
+
+def test_the_transmitters_estimate_leaves_out_its_own_expired_message(monkeypatch):
+    # Once every vehicle has sent, the estimate handed to tx's selector is the
+    # union of the other vehicles' messages from before the slot: expiry alone
+    # keeps tx's own, one full cycle old, out of it.
+    n = 3
+    state, rng, _ = _fresh_state(38, scheme=SchemeKind.RM, vehicles=n, gamma=6)
+    seen = []
+    select = engine.select_rm
+
+    def capturing_select(local, est_known, gamma, rng):
+        seen.append(est_known)
+        return select(local, est_known, gamma, rng)
+
+    monkeypatch.setattr(engine, "select_rm", capturing_select)
+    stale = 0
+    for t in range(6 * n):
+        tx = t % n
+        before = list(state.sent)
+        run_slot(state, tx, rng)
+        if t < n:
+            continue
+        others = 0
+        for s in _receivers(tx, n):
+            assert before[s]
+            others |= before[s]
+        assert seen[-1] == others
+        stale |= before[tx] & ~others
+    assert stale  # some id of a stale message was in no other valid message
 
 
 def test_known_set_is_local_union_valid_entries():

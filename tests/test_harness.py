@@ -90,6 +90,19 @@ def test_derived_streams_are_repeatable():
     assert (a == b).all()
 
 
+def test_stream_key_is_the_schemes_position_in_the_enum():
+    # Seed contract 1 keys each episode's stream on [seed, i, gamma, rep], with
+    # i the scheme's position in `SchemeKind`; the order is pinned here, so a
+    # reordered enum fails this test and not only the golden bytes.
+    order = ["Baseline", "IRC", "RM", "Semantic", "IdealSemantic"]
+    assert [kind.value for kind in SchemeKind] == order
+    for i, value in enumerate(order):
+        for seed, gamma, rep in ((12345, 1, 0), (7, 25, 199)):
+            got = derive_rng(seed, SchemeKind(value), gamma, rep).random(3)
+            want = np.random.default_rng(np.random.SeedSequence([seed, i, gamma, rep])).random(3)
+            assert (got == want).all(), value
+
+
 def test_no_stream_collisions_over_full_grid():
     # One draw per derived stream across the whole default sweep grid; any
     # repeat would mean two episodes share a stream.

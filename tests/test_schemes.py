@@ -11,7 +11,6 @@ from reference import sample_estimated_value
 from relevance_sim.schemes import (
     EstimationModel,
     _random_subset,
-    estimate_receiver_known,
     estimation_error,
     exhaustive_best_selection,
     ids_of,
@@ -93,21 +92,6 @@ def test_estimated_value_uniform_on_interval():
     ecdf_lo = np.arange(0, n) / n
     d_stat = max(np.max(ecdf_hi - cdf), np.max(cdf - ecdf_lo))
     assert d_stat < 1.63 / math.sqrt(n)  # alpha = 0.01 critical value
-
-
-# --- channel-derived receiver-knowledge estimate ----------------------------
-
-def test_estimate_receiver_known_union_and_expiry():
-    assert estimate_receiver_known([0, 0], transmitter=0) == 0
-    sent = [_m({1, 2}), _m({2, 3})]
-    # Slot 5 of a 2-vehicle run: vehicle 1 transmits, vehicle 0's message is
-    # still valid.
-    assert ids_of(estimate_receiver_known(sent, transmitter=1)) == [1, 2]
-    # A 3-vehicle channel unites every other sender's message.
-    assert ids_of(estimate_receiver_known(sent + [0], transmitter=2)) == [1, 2, 3]
-    # Slot 6: vehicle 0 transmits again, so its own message (a full cycle
-    # old) is not part of the estimate; only the second survives.
-    assert ids_of(estimate_receiver_known(sent, transmitter=0)) == [2, 3]
 
 
 # --- content-agnostic selectors ---------------------------------------------
