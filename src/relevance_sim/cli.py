@@ -90,7 +90,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --out must not be empty", file=sys.stderr)
         return USAGE_ERROR
     existing = os.path.abspath(args.out)
-    while not os.path.exists(existing):
+    while not os.path.lexists(existing):
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         print(f"error: --out {args.out} is not a directory", file=sys.stderr)

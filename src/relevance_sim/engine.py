@@ -174,8 +174,7 @@ def run_slot(state: SimState, tx: int, rng: np.random.Generator) -> tuple[int, l
     elif scheme is SchemeKind.SEMANTIC:
         # tx's known mask: its snapshot plus the channel.
         eps = estimation_error((local | est_known).bit_count(), spec.estimation)
-        delta = spec.estimation.value_range_width * eps
-        selected = select_semantic(local, est_known, values, gamma, s_min, delta, rng)
+        selected = select_semantic(local, est_known, values, gamma, s_min, eps, rng)
     else:
         selected = select_ideal_semantic(local, known, values, gamma, s_min)
 

@@ -299,8 +299,8 @@ _RULES: tuple[tuple[tuple[str, ...], Callable[..., bool], str], ...] = (
     (("relevance.d_near",), lambda x: x > 0, "be > 0"),
     (("relevance.d_near", "relevance.d_far"), lambda near, far: near < far,
      "be < relevance.d_far"),
+    (("relevance.s_min",), lambda x: x >= 0, "be >= 0"),
     (("estimation.a4",), lambda x: x >= 0, "be >= 0"),
-    (("estimation.value_range_width",), lambda x: x > 0, "be > 0"),
     (("run.schemes",), bool, "name a scheme"),
     (("run.schemes",), lambda s: len(set(s)) == len(s), "not repeat a scheme"),
     (("run.gammas",), lambda g: bool(g) and min(g) >= 1, "be nonempty, each >= 1"),

@@ -35,11 +35,11 @@ class SchemeKind(Enum):
 
 @dataclass(frozen=True)
 class EstimationModel:
-    # Logistic estimation error: eps(c) = 1 / (1 + a4 * exp(-a5 * (c - a6)))
+    # Logistic estimation error: eps(c) = 1 / (1 + a4 * exp(-a5 * (c - a6))),
+    # the Semantic noise width on the unit value scale (values lie in [0, 1]).
     a4: float = 1.0
     a5: float = -0.5
     a6: float = 26.0
-    value_range_width: float = 1.0  # max(w) - min(w) of the nominal value range
 
 
 def estimation_error(known_count: int, model: EstimationModel) -> float:
@@ -138,17 +138,17 @@ def select_semantic(
     values: Sequence[Sequence[float]],
     gamma: int,
     s_min: float,
-    delta: float,
+    eps: float,
     rng: np.random.Generator,
 ) -> list[int]:
     """Rank local variables by noisy estimated semantic value (Semantic scheme).
 
     Estimated-redundant variables score zero outright; every other (variable,
     receiver) pair gets one fresh noisy estimate, uniform on an interval of
-    width `delta` (the value range times the estimation error) around the true
-    value, and a variable's score is its best estimate over the receivers'
-    value rows.  Variables at or below s_min are filtered out before the
-    budget cut.
+    width `eps` (the estimation error, on the unit value scale) around the
+    true value, and a variable's score is its best estimate over the
+    receivers' value rows.  Variables at or below s_min are filtered out
+    before the budget cut.
     """
     fresh = ids_of(local & ~est_known)
     # One uniform draw per (variable, receiver) pair, consumed in (k, r) order.
@@ -159,7 +159,7 @@ def select_semantic(
     for k in fresh:
         best = -math.inf
         for w in values:
-            est = w[k] + (u[i] - 0.5) * delta
+            est = w[k] + (u[i] - 0.5) * eps
             i += 1
             if est > best:
                 best = est

@@ -24,7 +24,7 @@ README_MODEL = {
     "detection": (0.08, -0.08, 60.0),
     "delta_L": 0.7, "high": (0.5, 1.0), "p": 0.5,
     "rho_near": 0.9, "d_near": 100.0, "d_far": 400.0, "s_min": 0.05,
-    "estimation": {"a4": 1.0, "a5": -0.5, "a6": 26.0}, "value_range_width": 1.0,
+    "estimation": {"a4": 1.0, "a5": -0.5, "a6": 26.0},
 }
 
 
@@ -45,9 +45,9 @@ def sample_local_set(position, xy, coeffs, rng):
     return set(sample_hits(detection_probability_vector(position, xy, coeffs), rng))
 
 
-def sample_estimated_value(true_w, eps, model, rng):
-    """Noisy value estimate: uniform on an interval of width eps * range centred
-    on the true value.
+def sample_estimated_value(true_w, eps, rng):
+    """Noisy value estimate: uniform on an interval of width eps centred on the
+    true value (values lie on the unit scale, so eps is the width).
 
     The interval is deliberately not clamped to the value range, so estimates of
     a zero-value variable straddle zero and land below the relevance threshold
@@ -55,8 +55,7 @@ def sample_estimated_value(true_w, eps, model, rng):
     s_min, so out-of-range samples are harmless.  With eps = 0 the estimate is
     exact.
     """
-    delta = model.value_range_width * eps
-    return true_w + (rng.random() - 0.5) * delta
+    return true_w + (rng.random() - 0.5) * eps
 
 
 def unicast_budget_one(scheme, replications, slots, seed):
@@ -92,7 +91,7 @@ def unicast_budget_one(scheme, replications, slots, seed):
     w = np.where(np.stack([ref, other], axis=1), rng.uniform(*m["high"], (r, 2, k)), 0.0)
     # The noise width for each size of the transmitter's known set.
     est = EstimationModel(**m["estimation"])
-    delta_of = m["value_range_width"] * np.array([estimation_error(c, est) for c in range(k + 1)])
+    eps_of = np.array([estimation_error(c, est) for c in range(k + 1)])
 
     local = np.zeros((r, 2, k), dtype=bool)
     sent = np.zeros((r, 2, k), dtype=bool)
@@ -110,7 +109,7 @@ def unicast_budget_one(scheme, replications, slots, seed):
         if scheme == "Baseline":  # any one detection, uniformly
             score, ok = rng.random((r, k)), mine
         elif scheme == "Semantic":  # best noisy estimate above s_min of an unheard detection
-            noise = (rng.random((r, k)) - 0.5) * delta_of[(mine | heard).sum(axis=1)][:, None]
+            noise = (rng.random((r, k)) - 0.5) * eps_of[(mine | heard).sum(axis=1)][:, None]
             score = w[:, rx] + noise
             ok = mine & ~heard & (score > s_min)
         else:  # best true value above s_min of a detection the receiver does not know
@@ -144,33 +143,33 @@ def _uniform_subset(mask, gamma):
 
 
 def _noise_width(known_count, estimation):
-    """Semantic's noise width δ = width·ε(c), with ε(c) = 1/(1 + a4·e^(−a5·(c − a6)))
-    over the transmitter's known-set size c."""
+    """Semantic's noise width ε(c) = 1/(1 + a4·e^(−a5·(c − a6))) on the unit
+    value scale, over the transmitter's known-set size c."""
     e = estimation
-    return e["value_range_width"] / (1.0 + e["a4"] * math.exp(-e["a5"] * (known_count - e["a6"])))
+    return 1.0 / (1.0 + e["a4"] * math.exp(-e["a5"] * (known_count - e["a6"])))
 
 
 @functools.cache
-def _semantic_distribution(fresh, rows, gamma, s_min, delta):
+def _semantic_distribution(fresh, rows, gamma, s_min, eps):
     """Semantic's messages from the ids of `fresh`, as (mask, probability) pairs.
 
     Each fresh id scores the best over the receivers' value `rows` of its
-    value plus its own uniform noise of width `delta` > 0, and the gamma best
+    value plus its own uniform noise of width `eps` > 0, and the gamma best
     scores above s_min are sent.  So an id's score has the CDF
-    F(x) = prod over rows of clip((x - w) / delta + 1/2, 0, 1), a piecewise
+    F(x) = prod over rows of clip((x - w) / eps + 1/2, 0, 1), a piecewise
     polynomial.  A message of fewer than gamma ids is exactly the set scoring
     above s_min: a product of F(s_min) and 1 - F(s_min).  A full message A
     is sent when its lowest score x clears s_min, the rest of A score above
     x and every other fresh id below: the integral over x of
     sum over a in A of F_a'(x) * prod over A - a of (1 - F) * prod over the
     others of F.  That integrand is a polynomial between the breakpoints
-    w ± delta/2, so Gauss-Legendre on each piece, with enough nodes for its
+    w ± eps/2, so Gauss-Legendre on each piece, with enough nodes for its
     degree, integrates it exactly.
     """
     ids = _ids(fresh)
     if not ids:
         return [(0, 1.0)]
-    half = delta / 2
+    half = eps / 2
     edges = sorted({s_min} | {x for row in rows for i in ids
                               for x in (row[i] - half, row[i] + half) if x > s_min})
     nodes, weights = np.polynomial.legendre.leggauss(len(rows) * len(ids) // 2 + 1)
@@ -179,13 +178,13 @@ def _semantic_distribution(fresh, rows, gamma, s_min, delta):
     dx = ((hi - lo) / 2 * weights).ravel()
 
     def ramps(i, at):
-        return [np.clip((at - row[i]) / delta + 0.5, 0.0, 1.0) for row in rows]
+        return [np.clip((at - row[i]) / eps + 0.5, 0.0, 1.0) for row in rows]
 
     cdf, density = {}, {}
     for i in ids:
         r = ramps(i, x)
         cdf[i] = np.prod(r, axis=0)
-        density[i] = sum((np.abs(x - row[i]) < half) / delta * np.prod(r[:j] + r[j + 1:], axis=0)
+        density[i] = sum((np.abs(x - row[i]) < half) / eps * np.prod(r[:j] + r[j + 1:], axis=0)
                          for j, row in enumerate(rows))
     below = {i: math.prod(ramps(i, s_min)) for i in ids}  # F(s_min)
     out = []
@@ -226,8 +225,8 @@ def _message_distribution(scheme, local, heard, known, rows, gamma, s_min, estim
             return _uniform_subset(local & ~heard, gamma)
         return [(local & ~d, 1.0 / len(drops)) for d in drops]
     if scheme == "Semantic":  # noisy estimates of the ids not heard, over s_min
-        delta = _noise_width((local | heard).bit_count(), estimation)
-        return _semantic_distribution(local & ~heard, rows, gamma, s_min, delta)
+        eps = _noise_width((local | heard).bit_count(), estimation)
+        return _semantic_distribution(local & ~heard, rows, gamma, s_min, eps)
     # IdealSemantic: the gamma best true values over the receivers, an id a
     # receiver knows being worth nothing to it, above s_min only.  The test
     # scenes have no two equal values, so no tie needs breaking.
@@ -247,7 +246,7 @@ def exact_episode_totals(probs, values, scheme, gamma, slots, aggregation, s_min
     `probs[v][k]` is the chance vehicle v detects object k in one snapshot and
     `values[v][k]` is what object k is worth to v.  `scheme` is "Baseline",
     "IRC", "RM", "Semantic" or "IdealSemantic"; Semantic also needs
-    `estimation`, a mapping of `a4`, `a5`, `a6` and `value_range_width`.
+    `estimation`, a mapping of `a4`, `a5` and `a6`.
     Returns the expectations of the metric totals: `messages`, `variables`,
     `usage_sum`, `low_count`, `sv_total`, `hrr_sum` and `hrr_count`.
 

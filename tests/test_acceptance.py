@@ -293,12 +293,12 @@ def test_criterion_11_structural_properties(capsys):
     #    the redundancy-avoiding scheme never picks an estimated-known id.
     for _ in range(200):
         local, est_known, known, values, known_set_size, gamma = _random_instance(rng)
-        delta = model.value_range_width * estimation_error(known_set_size, model)
+        eps = estimation_error(known_set_size, model)
         picks = {
             "baseline": select_baseline(local, gamma, rng),
             "irc": select_irc(local, est_known, gamma, rng),
             "rm": select_rm(local, est_known, gamma, rng),
-            "semantic": select_semantic(local, est_known, values, gamma, s_min, delta, rng),
+            "semantic": select_semantic(local, est_known, values, gamma, s_min, eps, rng),
             "ideal": select_ideal_semantic(local, known, values, gamma, s_min),
         }
         for name, sel in picks.items():
@@ -313,9 +313,9 @@ def test_criterion_11_structural_properties(capsys):
     for _ in range(500):
         w = float(rng.integers(0, 65)) / 64.0
         eps = estimation_error(int(rng.integers(0, 60)), model)
-        w_hat = sample_estimated_value(w, eps, model, rng)
+        w_hat = sample_estimated_value(w, eps, rng)
         assert w - eps / 2 - 1e-12 <= w_hat <= w + eps / 2 + 1e-12
-    assert sample_estimated_value(0.3, 0.0, model, rng) == 0.3
+    assert sample_estimated_value(0.3, 0.0, rng) == 0.3
     # 4) the high/low relevance split hits its marginal rate.
     params = RelevanceParams()
     cfg = SceneConfig()

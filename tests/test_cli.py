@@ -284,6 +284,19 @@ def test_out_naming_a_file_is_a_usage_error_before_any_cell(tmp_path):
     assert not any(cwd.iterdir())
 
 
+def test_out_naming_a_dangling_symlink_is_a_usage_error_before_any_cell(tmp_path):
+    dangling = tmp_path / "gone"
+    dangling.symlink_to(tmp_path / "missing")
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    for out in (dangling, dangling / "sub", loop):
+        proc = _run("run", "--preset", "fig5", "--out", str(out),
+                    "--replications", "1", "--slots", "4")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: --out {out} is not a directory\n"
+    assert dangling.is_symlink() and not (tmp_path / "missing").exists()
+
+
 def test_validate_echoes_resolved_config(tmp_path):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("run.seed = 777\nrun.slots = 400\n")

@@ -36,8 +36,8 @@ def _fresh_state(seed, scheme=SchemeKind.BASELINE, gamma=10, vehicles=2,
     return new_sim_state(objects, fleet, relevance, config), rng, relevance
 
 
-def _semantic_state(detected, receiver_local, receiver_sent, k=30, width=1.0,
-                    scheme=SchemeKind.SEMANTIC):
+def _semantic_state(detected, receiver_local, receiver_sent, k=30,
+                    estimation=EstimationModel(), scheme=SchemeKind.SEMANTIC):
     # Two static vehicles over k objects, both valuing every object at 0.9.
     # Vehicle 0 transmits first under `scheme` with a budget of one and
     # detects exactly the ids in `detected` (detection probabilities of 0
@@ -45,7 +45,7 @@ def _semantic_state(detected, receiver_local, receiver_sent, k=30, width=1.0,
     # still-valid message `receiver_sent`.
     rng = np.random.default_rng(47)
     spec = ExperimentSpec(scene=SceneConfig(object_count=k, vehicle_count=2),
-                          estimation=EstimationModel(value_range_width=width))
+                          estimation=estimation)
     values = np.full(k, 0.9)
     relevance = [RelevanceFunction.from_values(values, spec.relevance.s_min)] * 2
     objects, fleet = place_objects(spec.scene, rng), spawn_vehicles(spec.scene, rng)
@@ -59,8 +59,11 @@ def _semantic_state(detected, receiver_local, receiver_sent, k=30, width=1.0,
 def test_semantic_does_not_see_the_receivers_unsent_snapshot():
     # Object 0 is in both snapshots but was never transmitted, so the channel
     # estimate cannot know the receiver holds it: Semantic still sends it.
-    state, rng = _semantic_state(detected=[0], receiver_local=1, receiver_sent=0, width=1e-9)
-    sent, known, _ = run_slot(state, 0, rng)
+    # With a4 = 1e12 and a5 = 0 the curve is flat at eps ~ 1e-12: no noise.
+    state, rng = _semantic_state(detected=[0], receiver_local=1, receiver_sent=0,
+                                 estimation=EstimationModel(a4=1e12, a5=0.0))
+    sent, known, eps = run_slot(state, 0, rng)
+    assert eps < 1e-11
     assert known == [1]
     assert sent == 1
 

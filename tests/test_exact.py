@@ -39,7 +39,7 @@ Z_BOUND = 4.51
 EPISODES = 1000
 SEED = 2718
 S_MIN = 0.05
-ESTIMATION = {"a4": 1.0, "a5": -1.5, "a6": 2.0, "value_range_width": 1.0}
+ESTIMATION = {"a4": 1.0, "a5": -1.5, "a6": 2.0}
 SCHEMES = ("Baseline", "IRC", "RM", "Semantic", "IdealSemantic")
 GAMMAS = (1, 2, 3)
 TOTALS = ("sv_total", "variables", "usage_sum", "low_count", "hrr_sum")

@@ -67,7 +67,6 @@ def test_preset_parameters_are_frozen():
         "relevance.rho_near": "0.9", "relevance.d_near": "100.0",
         "relevance.d_far": "400.0", "relevance.s_min": "0.05",
         "estimation.a4": "1.0", "estimation.a5": "-0.5", "estimation.a6": "26.0",
-        "estimation.value_range_width": "1.0",
         "run.schemes": "Baseline,IRC,RM,Semantic,IdealSemantic",
         "run.gammas": ",".join(str(g) for g in range(1, 26)),
         "run.replications": "200", "run.slots": "400", "run.seed": "12345",
@@ -263,9 +262,8 @@ RANGE_RULES = [
     (("relevance.d_near", "relevance.d_far"),
      {"relevance.d_near": 400.0, "relevance.d_far": 400.0},
      {"relevance.d_near": 399.5, "relevance.d_far": 400.0}),
+    (("relevance.s_min",), {"relevance.s_min": -0.5}, {"relevance.s_min": 0.0}),
     (("estimation.a4",), {"estimation.a4": -1.0}, {"estimation.a4": 0.0}),
-    (("estimation.value_range_width",), {"estimation.value_range_width": 0.0},
-     {"estimation.value_range_width": 1e-9}),
     (("run.gammas",), {"run.gammas": (0, 3)}, {"run.gammas": (1, 3)}),
     # The config grammar cannot write an empty list, but the API can.
     (("run.gammas",), {"run.gammas": ()}, {"run.gammas": (1,)}),
@@ -482,7 +480,6 @@ relevance.s_min = 0.07
 estimation.a4 = 1.5
 estimation.a5 = -0.4
 estimation.a6 = 20.0
-estimation.value_range_width = 1.2
 run.schemes = RM,Semantic
 run.gammas = 2,3,4
 run.replications = 5
@@ -590,9 +587,11 @@ def test_config_errors_carry_line_numbers():
         parse_config("\nwhat is this\n")
     with pytest.raises(ConfigError, match="line 1.*unknown key"):
         parse_config("scene.depth = 4\n")
-    # One slot is 0.1 s, so scene.vehicle_speed is the one mobility rate.
-    with pytest.raises(ConfigError, match=re.escape("line 1: unknown key 'scene.slot_duration'")):
-        parse_config("scene.slot_duration = 0.1\n")
+    # Keys that are gone: one slot is 0.1 s, so scene.vehicle_speed is the one
+    # mobility rate, and values lie on [0, 1], so the Semantic noise width is eps.
+    for key, raw in (("scene.slot_duration", "0.1"), ("estimation.value_range_width", "1.0")):
+        with pytest.raises(ConfigError, match=re.escape(f"line 1: unknown key '{key}'")):
+            parse_config(f"{key} = {raw}\n")
     with pytest.raises(ConfigError, match="line 3.*duplicate"):
         parse_config("run.seed = 1\n\nrun.seed = 2\n")
     with pytest.raises(ConfigError, match="line 1.*bad value"):
@@ -608,7 +607,7 @@ def test_config_errors_carry_line_numbers():
     ("scene.width", "nan"),
     ("scene.height", "inf"),
     ("relevance.s_min", "nan"),
-    ("estimation.value_range_width", "nan"),
+    ("estimation.a5", "nan"),
     ("run.gammas", "5,5"),
     ("run.schemes", "RM,rm"),
 ])

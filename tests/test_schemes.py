@@ -31,12 +31,6 @@ S_MIN = 0.05
 _m = mask_of  # short name for the many literal masks below
 
 
-def _width(known_size):
-    # Noise width the engine hands the semantic selector for a transmitter
-    # that knows `known_size` objects.
-    return MODEL.value_range_width * estimation_error(known_size, MODEL)
-
-
 # --- estimation model -------------------------------------------------------
 
 def test_estimation_error_reference_points():
@@ -67,14 +61,14 @@ def test_estimation_error_saturates_where_the_exponential_overflows():
 def test_estimated_value_zero_error_is_identity():
     rng = np.random.default_rng(1)
     for w in (0.0, 0.05, 0.31, 1.0):
-        assert sample_estimated_value(w, 0.0, MODEL, rng) == w
+        assert sample_estimated_value(w, 0.0, rng) == w
 
 
 def test_estimated_value_contained_and_centred():
     rng = np.random.default_rng(2)
     for w, eps in ((0.7, 0.4), (0.2, 1.0), (0.0, 1.0), (1.0, 0.3)):
-        half = MODEL.value_range_width * eps / 2
-        draws = np.array([sample_estimated_value(w, eps, MODEL, rng) for _ in range(4000)])
+        half = eps / 2
+        draws = np.array([sample_estimated_value(w, eps, rng) for _ in range(4000)])
         assert draws.min() >= w - half
         assert draws.max() <= w + half
         # Centred on the true value: the interval is not folded back into
@@ -86,7 +80,7 @@ def test_estimated_value_uniform_on_interval():
     # true 0.7, eps 0.4 -> uniform on [0.5, 0.9]; one-sample KS check.
     rng = np.random.default_rng(3)
     n = 10_000
-    draws = np.sort([sample_estimated_value(0.7, 0.4, MODEL, rng) for _ in range(n)])
+    draws = np.sort([sample_estimated_value(0.7, 0.4, rng) for _ in range(n)])
     cdf = (draws - 0.5) / 0.4
     ecdf_hi = np.arange(1, n + 1) / n
     ecdf_lo = np.arange(0, n) / n
@@ -198,18 +192,21 @@ def test_semantic_selection_contract():
     local = set(range(12))
     for _ in range(1000):
         values = [rng.uniform(0.0, 1.0, 40).tolist()]
-        out = select_semantic(_m(local), 0, values, 5, S_MIN, _width(28), rng)
+        out = select_semantic(_m(local), 0, values, 5, S_MIN, estimation_error(28, MODEL), rng)
         assert len(out) <= 5
         assert set(out) <= local
         assert out == sorted(out)
 
 
 def test_semantic_scores_redundant_as_zero():
-    # Estimated-redundant ids can never outrank the threshold, whatever the noise.
+    # Estimated-redundant ids can never outrank the threshold, whatever the
+    # noise, down to the lowest floor a config accepts.
     rng = np.random.default_rng(10)
     values = _values_for(1, {k: 0.9 for k in range(6)})
     local = _m(range(6))
-    assert select_semantic(local, local, values, 6, S_MIN, _width(6), rng) == []
+    eps = estimation_error(6, MODEL)
+    for s_min in (0.0, S_MIN):
+        assert select_semantic(local, local, values, 6, s_min, eps, rng) == []
 
 
 def test_semantic_zero_error_degenerates_to_ideal():
@@ -218,14 +215,15 @@ def test_semantic_zero_error_degenerates_to_ideal():
     local, est = _m({0, 1, 2, 3, 4}), _m({3})
     for gamma in (1, 2, 3):
         # A known-set size far beyond the logistic midpoint forces eps ~ 0.
-        got = select_semantic(local, est, values, gamma, S_MIN, _width(500), rng)
+        got = select_semantic(local, est, values, gamma, S_MIN, estimation_error(500, MODEL), rng)
         assert got == select_ideal_semantic(local, [est, est], values, gamma, S_MIN)
 
 
 def test_semantic_all_below_threshold_sends_nothing():
     rng = np.random.default_rng(12)
     values = _values_for(1, {0: 0.04, 1: 0.01, 2: 0.0})
-    assert select_semantic(_m({0, 1, 2}), 0, values, 3, S_MIN, _width(500), rng) == []
+    eps = estimation_error(500, MODEL)
+    assert select_semantic(_m({0, 1, 2}), 0, values, 3, S_MIN, eps, rng) == []
 
 
 def test_semantic_draw_order_matches_scalar_sampling():
@@ -236,14 +234,14 @@ def test_semantic_draw_order_matches_scalar_sampling():
     local = {2, 5, 7, 11}
     rng = np.random.default_rng(seed)
     values = [rng.uniform(0.0, 1.0, 40).tolist() for _ in range(2)]
-    got = select_semantic(_m(local), _m({5}), values, 2, S_MIN, _width(20),
+    got = select_semantic(_m(local), _m({5}), values, 2, S_MIN, estimation_error(20, MODEL),
                           np.random.default_rng(seed + 1))
 
     replay = np.random.default_rng(seed + 1)
     eps = estimation_error(20, MODEL)
     scored = []
     for k in sorted(local - {5}):
-        best = max(sample_estimated_value(row[k], eps, MODEL, replay) for row in values)
+        best = max(sample_estimated_value(row[k], eps, replay) for row in values)
         if best > S_MIN:
             scored.append((-best, k))
     expected = sorted(k for _, k in sorted(scored)[:2])
@@ -311,14 +309,14 @@ def _instances(draw, max_local=UNIVERSE):
 
 @settings(max_examples=300, deadline=None)
 @given(_instances(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_every_selector_respects_budget_and_locality(instance, width, seed):
+def test_every_selector_respects_budget_and_locality(instance, eps, seed):
     local, est, known, values, gamma, s_min = instance
     rng = np.random.default_rng(seed)
     outputs = [
         select_baseline(local, gamma, rng),
         select_irc(local, est, gamma, rng),
         select_rm(local, est, gamma, rng),
-        select_semantic(local, est, values, gamma, s_min, width, rng),
+        select_semantic(local, est, values, gamma, s_min, eps, rng),
         select_ideal_semantic(local, known, values, gamma, s_min),
     ]
     for out in outputs:
@@ -349,9 +347,9 @@ def test_selectors_are_pure_given_stream_state():
     assert select_baseline(local, gamma, rng_a) == select_baseline(local, gamma, rng_b)
     for select in (select_irc, select_rm):
         assert select(local, est, gamma, rng_a) == select(local, est, gamma, rng_b)
-    width = _width(local.bit_count())
-    assert (select_semantic(local, est, values, gamma, s_min, width, rng_a)
-            == select_semantic(local, est, values, gamma, s_min, width, rng_b))
+    eps = estimation_error(local.bit_count(), MODEL)
+    assert (select_semantic(local, est, values, gamma, s_min, eps, rng_a)
+            == select_semantic(local, est, values, gamma, s_min, eps, rng_b))
 
 
 def test_shuffled_subset_matches_permutation_prefix():
