@@ -241,17 +241,10 @@ def _hint(path: tuple[str, ...]) -> object:
 
 def _parse(hint: object, raw: str) -> object:
     """Read `raw` as a value of the annotation `hint`: a `tuple[X, ...]` is a
-    comma list of X (a tuple of ints also takes `lo..hi`), an enum is the member
-    whose value matches in any case, and anything else is `hint(raw)`."""
+    comma list of X, an enum is the member whose value matches in any case,
+    and anything else is `hint(raw)`."""
     if get_args(hint):
-        item = get_args(hint)[0]
-        if item is int and ".." in raw:
-            lo, hi = raw.split("..", 1)
-            try:
-                return tuple(range(int(lo), int(hi) + 1))
-            except (OverflowError, MemoryError):
-                raise ValueError(f"range {raw!r} is too large") from None
-        return tuple(_parse(item, part.strip()) for part in raw.split(","))
+        return tuple(_parse(get_args(hint)[0], part.strip()) for part in raw.split(","))
     if issubclass(hint, Enum):
         member = {m.value.lower(): m for m in hint}.get(raw.lower())
         if member is None:

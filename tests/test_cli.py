@@ -311,7 +311,7 @@ def test_validate_echoes_resolved_config(tmp_path):
     bad = tmp_path / "vbad.cfg"
     bad.write_text("nonsense here\n")
     assert _run("validate", "--config", str(bad)).returncode == 2
-    # A range too large to build is a bad value naming its line, not a traceback.
+    # A `lo..hi` value is a bad value naming its line, not a traceback.
     for raw in ("1..1000000000000000000", "1..100000000000000000000"):
         bad.write_text(f"run.gammas = {raw}\n")
         proc = _run("validate", "--config", str(bad))
